@@ -1,6 +1,6 @@
 //! Criterion benches behind Fig. 10: reconstruction wall-clock per method.
 //!
-//! Micro-benchmark counterpart of `exp_fig10` — statistically sound
+//! Micro-benchmark counterpart of `exp fig10` — statistically sound
 //! timings of each reconstructor on a fixed tiny Isabel timestep at 1% and
 //! 5% sampling, plus the sampler and triangulation-build costs that the
 //! figure's end-to-end numbers fold in.

@@ -3,8 +3,8 @@
 //! Table I's shape is "training time scales with the void count (grid
 //! size)"; Table II's is "time drops near-linearly with kept training
 //! rows". Both are benchmarked per-epoch here (the tables' 500-epoch
-//! totals are 500× the per-epoch cost, which is what `exp_table1` and
-//! `exp_table2` measure end-to-end).
+//! totals are 500× the per-epoch cost, which is what `exp table1` and
+//! `exp table2` measure end-to-end).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fillvoid_core::normalize::ValueNorm;

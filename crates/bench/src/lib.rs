@@ -1,8 +1,10 @@
 //! # fv-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper's
-//! evaluation (see DESIGN.md §4 for the index), plus Criterion benches for
-//! the timing-only artifacts.
+//! The benchmark harness: the `exp` binary runs every table/figure of the
+//! paper's evaluation (`exp <name>`, `exp all`, `exp --list`; DESIGN.md §4
+//! is the index), `exp_runtime`, `exp_brick` and `exp_serve` write the JSON
+//! that `scripts/ci.sh` gates on, and Criterion benches cover the
+//! timing-only artifacts.
 //!
 //! Every binary accepts the same flags:
 //!
@@ -46,8 +48,14 @@ impl Default for ExpOpts {
 impl ExpOpts {
     /// Parse from `std::env::args`, exiting with usage help on `--help`.
     pub fn from_args() -> Self {
+        Self::parse(std::env::args().skip(1))
+    }
+
+    /// Parse flags from `args` (the program name already skipped), exiting
+    /// with usage help on `--help`.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
         let mut opts = Self::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--tiny" => opts.scale = Scale::Tiny,

@@ -1,8 +1,8 @@
 //! Shared experiment harnesses: the sweeps behind the paper's figures.
 //!
-//! The bench binaries (`crates/bench/src/bin/exp_*`) are thin wrappers
-//! around these functions, which produce plain row structs so results can
-//! be printed, asserted on in tests, or dumped to CSV.
+//! The bench crate's `exp` binary is a thin wrapper around these
+//! functions, which produce plain row structs so results can be printed,
+//! asserted on in tests, or dumped to CSV.
 
 use crate::error::CoreError;
 use crate::metrics::snr_db;

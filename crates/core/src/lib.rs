@@ -39,12 +39,6 @@ pub mod report;
 pub mod timesteps;
 pub mod upscale;
 
-/// Chaos plans are process-global; every test in this binary that installs
-/// one must hold this lock so concurrently running tests cannot bleed
-/// injected faults into each other.
-#[cfg(test)]
-pub(crate) static CHAOS_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 pub use brick::{reconstruct_bricked, BrickReconConfig, BrickRunReport, BrickStreamer};
 pub use error::CoreError;
 pub use features::FeatureScratch;

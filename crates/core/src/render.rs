@@ -1,8 +1,8 @@
-//! Qualitative output: greyscale slice renders and CSV dumps.
+//! Qualitative output: greyscale slice renders.
 //!
 //! The paper's Figs. 2–3 show side-by-side volume renders of FCNN vs
 //! classical reconstructions. Offline we emit z-slices as portable graymap
-//! (PGM) images — viewable anywhere — plus CSV for external plotting.
+//! (PGM) images, viewable anywhere.
 
 use fv_field::{FieldError, ScalarField};
 use std::io::{BufWriter, Write};
@@ -34,30 +34,6 @@ pub fn write_slice_pgm<W: Write>(
         .map(|&v| (((v - lo) * scale).clamp(0.0, 255.0)) as u8)
         .collect();
     w.write_all(&bytes)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Write the z-slice `plane` as CSV (`i,j,value` rows with a header).
-pub fn write_slice_csv<W: Write>(
-    field: &ScalarField,
-    plane: usize,
-    w: W,
-) -> Result<(), FieldError> {
-    let [nx, ny, nz] = field.grid().dims();
-    if plane >= nz {
-        return Err(FieldError::Format(format!(
-            "plane {plane} out of range (nz = {nz})"
-        )));
-    }
-    let slice = field.slice_z(plane);
-    let mut w = BufWriter::new(w);
-    writeln!(w, "i,j,value")?;
-    for j in 0..ny {
-        for i in 0..nx {
-            writeln!(w, "{i},{j},{}", slice[i + nx * j])?;
-        }
-    }
     w.flush()?;
     Ok(())
 }
@@ -102,18 +78,6 @@ mod tests {
         let f = field();
         let mut buf = Vec::new();
         assert!(write_slice_pgm(&f, 5, &mut buf).is_err());
-    }
-
-    #[test]
-    fn csv_rows() {
-        let f = field();
-        let mut buf = Vec::new();
-        write_slice_csv(&f, 1, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "i,j,value");
-        assert_eq!(lines.len(), 1 + 12);
-        assert_eq!(lines[1], "0,0,12");
     }
 
     #[test]

@@ -30,12 +30,12 @@
 //! `header_crc` binds the ledger to one exact volume geometry, so a ledger
 //! can never vouch for bricks of a different layout.
 
-use crate::checksum::Crc32;
 use crate::error::FieldError;
 use crate::grid::Grid3;
 use crate::io::{sweep_tmp_files, write_file_atomic};
 use crate::volume::ScalarField;
 use fv_runtime::chaos;
+use fv_runtime::checksum::{crc32, Crc32};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -168,7 +168,7 @@ impl BrickLayout {
         for d in self.brick_dims {
             out.extend_from_slice(&(d as u64).to_le_bytes());
         }
-        let crc = crate::checksum::crc32(&out[4..]);
+        let crc = crc32(&out[4..]);
         out.extend_from_slice(&crc.to_le_bytes());
         debug_assert_eq!(out.len(), HEADER_BYTES);
         out
@@ -306,7 +306,7 @@ impl BrickStore {
         for &v in values {
             payload.extend_from_slice(&v.to_le_bytes());
         }
-        let crc = crate::checksum::crc32(&payload);
+        let crc = crc32(&payload);
         let mut f = std::fs::OpenOptions::new()
             .write(true)
             .open(self.dir.join(VOLUME_FILE))?;
@@ -423,7 +423,7 @@ impl BrickStore {
             }
             payload.extend_from_slice(&off.to_le_bytes());
         }
-        let crc = crate::checksum::crc32(&payload);
+        let crc = crc32(&payload);
         write_file_atomic(self.dir.join(LEDGER_FILE), |w| {
             w.write_all(LEDGER_MAGIC)?;
             w.write_all(&payload)?;
@@ -445,7 +445,7 @@ impl BrickStore {
         }
         let payload = &bytes[4..bytes.len() - 4];
         let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-        if crate::checksum::crc32(payload) != stored {
+        if crc32(payload) != stored {
             return None;
         }
         let header_crc = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes"));

@@ -22,10 +22,10 @@
 //! atomically renames over the destination, so a node failure mid-write
 //! leaves either the old file or the new one — never a torn hybrid.
 
-use crate::checksum::Crc32;
 use crate::error::FieldError;
 use crate::grid::Grid3;
 use crate::volume::ScalarField;
+use fv_runtime::checksum::Crc32;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -466,7 +466,7 @@ mod tests {
         assert_eq!(payload_len as usize, 72 + 4 * f.len());
         assert_eq!(buf.len(), 12 + payload_len as usize + 4);
         let stored = u32::from_le_bytes(buf[buf.len() - 4..].try_into().unwrap());
-        assert_eq!(stored, crate::checksum::crc32(&buf[12..buf.len() - 4]));
+        assert_eq!(stored, fv_runtime::checksum::crc32(&buf[12..buf.len() - 4]));
     }
 
     #[test]

@@ -257,21 +257,6 @@ impl<T: Scalar> Matrix<T> {
         Ok(out)
     }
 
-    /// Parallel matrix product `self * rhs`, splitting output rows across the
-    /// Rayon pool. Falls back to the sequential kernel for small outputs.
-    pub fn par_matmul(&self, rhs: &Self) -> Result<Self, LinalgError> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "par_matmul",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = Self::zeros(0, 0);
-        self.matmul_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
     /// Matrix product with the transpose of `rhs`: `self * rhs^T`.
     ///
     /// Allocating wrapper over [`Self::matmul_transpose_b_into`]. The
@@ -287,39 +272,6 @@ impl<T: Scalar> Matrix<T> {
         }
         let mut out = Self::zeros(0, 0);
         self.matmul_transpose_b_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Parallel `self * rhs^T`, fanning output rows across the Rayon pool.
-    /// Falls back to the sequential kernel for small batches.
-    pub fn par_matmul_transpose_b(&self, rhs: &Self) -> Result<Self, LinalgError> {
-        if self.cols != rhs.cols {
-            return Err(LinalgError::ShapeMismatch {
-                op: "par_matmul_transpose_b",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = Self::zeros(0, 0);
-        self.matmul_transpose_b_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Parallel `self^T * rhs`. Allocating wrapper over
-    /// [`Self::transpose_a_matmul_into`]; parallelism only ever splits
-    /// output rows (never the reduction), so the result is bitwise
-    /// identical at any thread count.
-    pub fn par_transpose_a_matmul(&self, rhs: &Self) -> Result<Self, LinalgError> {
-        if self.rows != rhs.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "par_transpose_a_matmul",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = Self::zeros(0, 0);
-        let mut scratch = GemmScratch::default();
-        self.transpose_a_matmul_into(rhs, &mut out, &mut scratch)?;
         Ok(out)
     }
 
@@ -398,7 +350,7 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// The per-element accumulation order is the canonical ascending-`k`
     /// chain, a pure function of the shapes — identical across
-    /// [`Self::matmul`] / [`Self::par_matmul`], every `FV_GEMM_KERNEL`
+    /// [`Self::matmul`], every `FV_GEMM_KERNEL`
     /// setting, and any thread count. The granularity policy only decides
     /// whether the fixed panel geometry runs inline or on the pool.
     pub fn matmul_into_with(
@@ -626,7 +578,7 @@ impl<T: Scalar> Matrix<T> {
     /// blocked implementation there are no per-block partial products to
     /// recombine: every output element owns a single ascending-order chain
     /// over the reduction, and parallelism splits output rows only — so
-    /// results are bitwise-identical to [`Self::par_transpose_a_matmul`] at
+    /// results are bitwise-identical to [`Self::transpose_a_matmul`] at
     /// any thread count and under every `FV_GEMM_KERNEL` setting.
     pub fn transpose_a_matmul_into(
         &self,
@@ -815,15 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn par_matmul_matches_sequential() {
-        let a = Matrix::from_fn(64, 37, |r, c| ((r * 31 + c * 7) % 13) as f64 - 6.0);
-        let b = Matrix::from_fn(37, 29, |r, c| ((r * 17 + c * 3) % 11) as f64 - 5.0);
-        let seq = a.matmul(&b).unwrap();
-        let par = a.par_matmul(&b).unwrap();
-        assert_eq!(seq, par);
-    }
-
-    #[test]
     fn transpose_involution() {
         let a = Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f32);
         assert_eq!(a.transpose().transpose(), a);
@@ -837,6 +780,7 @@ mod tests {
         let fast = a.matmul_transpose_b(&b).unwrap();
         let slow = a.matmul(&b.transpose()).unwrap();
         assert_eq!(fast, slow);
+        assert!(a.matmul_transpose_b(&Matrix::zeros(3, 7)).is_err());
     }
 
     #[test]
@@ -846,28 +790,7 @@ mod tests {
         let fast = a.transpose_a_matmul(&b).unwrap();
         let slow = a.transpose().matmul(&b).unwrap();
         assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn par_matmul_transpose_b_matches_sequential() {
-        let a = Matrix::from_fn(80, 23, |r, c| ((r * 13 + c * 5) % 9) as f32 - 4.0);
-        let b = Matrix::from_fn(64, 23, |r, c| ((r * 7 + c * 11) % 5) as f32 * 0.5);
-        let seq = a.matmul_transpose_b(&b).unwrap();
-        let par = a.par_matmul_transpose_b(&b).unwrap();
-        assert_eq!(seq, par);
-        assert!(a.par_matmul_transpose_b(&Matrix::zeros(3, 7)).is_err());
-    }
-
-    #[test]
-    fn par_transpose_a_matmul_matches_sequential() {
-        let a = Matrix::from_fn(100, 16, |r, c| ((r + c * 3) % 7) as f64 - 3.0);
-        let b = Matrix::from_fn(100, 12, |r, c| ((r * 2 + c) % 5) as f64 * 0.25);
-        let seq = a.transpose_a_matmul(&b).unwrap();
-        let par = a.par_transpose_a_matmul(&b).unwrap();
-        for (s, p) in seq.as_slice().iter().zip(par.as_slice()) {
-            assert!((s - p).abs() < 1e-9);
-        }
-        assert!(a.par_transpose_a_matmul(&Matrix::zeros(3, 7)).is_err());
+        assert!(a.transpose_a_matmul(&Matrix::zeros(3, 7)).is_err());
     }
 
     #[test]
@@ -942,7 +865,7 @@ mod tests {
         for rows in [12usize, 100] {
             let a = Matrix::from_fn(rows, 16, |r, c| ((r + c * 3) % 7) as f32 / 3.0 - 0.4);
             let b = Matrix::from_fn(rows, 12, |r, c| ((r * 2 + c) % 5) as f32 * 0.25 - 0.3);
-            let reference = a.par_transpose_a_matmul(&b).unwrap();
+            let reference = a.transpose_a_matmul(&b).unwrap();
             let mut out = Matrix::zeros(0, 0);
             let mut scratch = GemmScratch::default();
             a.transpose_a_matmul_into(&b, &mut out, &mut scratch).unwrap();

@@ -78,7 +78,7 @@ impl Dense {
     pub fn forward(&self, input: Matrix<f32>) -> (Matrix<f32>, ForwardCache) {
         // x Wᵀ: both operands walk rows contiguously.
         let mut pre = input
-            .par_matmul_transpose_b(&self.weights)
+            .matmul_transpose_b(&self.weights)
             .expect("layer width checked by Mlp::forward");
         let width = self.output_size();
         let bias = &self.bias;
@@ -97,7 +97,7 @@ impl Dense {
     /// Inference-only forward (no cache).
     pub fn infer(&self, input: &Matrix<f32>) -> Matrix<f32> {
         let mut pre = input
-            .par_matmul_transpose_b(&self.weights)
+            .matmul_transpose_b(&self.weights)
             .expect("layer width checked by Mlp::forward");
         let act = self.activation;
         let width = self.output_size();
@@ -167,7 +167,7 @@ impl Dense {
             .for_each(|(g, &z)| *g *= act.derivative(z));
         // dW = dZᵀ · X  -> [out, in]
         let dw = grad_out
-            .par_transpose_a_matmul(&cache.input)
+            .transpose_a_matmul(&cache.input)
             .expect("shapes match by construction");
         // db = column sums of dZ. Row chunks fold locally and merge in
         // chunk order, so the sum is reproducible at any thread count.
@@ -195,7 +195,7 @@ impl Dense {
             );
         // dX = dZ · W -> [batch, in]
         let dx = grad_out
-            .par_matmul(&self.weights)
+            .matmul(&self.weights)
             .expect("shapes match by construction");
         (
             DenseGrads {

@@ -27,7 +27,6 @@
 //! small ops never pay pool overhead, large ones saturate the cores.
 
 pub mod activation;
-pub mod checksum;
 pub mod data;
 pub mod error;
 pub mod guard;

@@ -22,11 +22,11 @@
 //! File saves go through [`write_file_atomic`] (temp + fsync + rename).
 
 use crate::activation::Activation;
-use crate::checksum::Crc32;
 use crate::error::NnError;
 use crate::layer::Dense;
 use crate::mlp::Mlp;
 use fv_linalg::Matrix;
+use fv_runtime::checksum::{crc32, Crc32};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -148,7 +148,7 @@ fn read_layers<R: Read>(r: R) -> Result<Vec<Dense>, NnError> {
             let mut crc_buf = [0u8; 4];
             r.read_exact(&mut crc_buf)?;
             let stored = u32::from_le_bytes(crc_buf);
-            let computed = crate::checksum::crc32(&payload);
+            let computed = crc32(&payload);
             if stored != computed {
                 return Err(NnError::Format(format!(
                     "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"

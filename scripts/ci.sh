@@ -17,6 +17,16 @@ if [[ "${1:-}" == "--release" ]]; then
   MODE=(--release)
 fi
 
+echo "=== chaos plans confined to tests/chaos.rs ==="
+# A FaultPlan is process-global: installed in any other test binary, it
+# fires inside that binary's concurrently running tests. Only
+# tests/chaos.rs, whose tests serialize on its CHAOS_LOCK, may install one.
+leaks=$(grep -lE 'chaos::(install|\{[^}]*\binstall\b)' tests/*.rs | grep -vx 'tests/chaos.rs' || true)
+if [[ -n "$leaks" ]]; then
+  echo "chaos::install outside tests/chaos.rs:" $leaks
+  exit 1
+fi
+
 echo "=== clippy (deny warnings) ==="
 cargo clippy --workspace --all-targets "${MODE[@]}" -- -D warnings
 

@@ -13,18 +13,13 @@ mkdir -p results
 # build should not burn hours of experiment time first.
 scripts/ci.sh
 
-BINS=(
-  exp_fig06 exp_fig07 exp_fig08 exp_fig09 exp_fig10 exp_fig11 exp_fig12
-  exp_fig13 exp_fig14 exp_table1 exp_table2 exp_qualitative
-  exp_ablation_features exp_ablation_k exp_ablation_sampler
-  exp_ablation_finetune exp_ext_uncertainty exp_ext_spatial exp_serve
-)
-
 cargo build --release -p fv-bench --bins
 
-for bin in "${BINS[@]}"; do
-  echo "=== $bin ${FLAGS[*]:-} ==="
-  ./target/release/"$bin" "${FLAGS[@]}" | tee "results/$bin.txt"
+for name in $(./target/release/exp --list); do
+  echo "=== exp $name ${FLAGS[*]:-} ==="
+  ./target/release/exp "$name" "${FLAGS[@]}" | tee "results/exp_$name.txt"
 done
+echo "=== exp_serve ${FLAGS[*]:-} ==="
+./target/release/exp_serve "${FLAGS[@]}" | tee results/exp_serve.txt
 
 echo "All experiment logs written to results/"

@@ -13,8 +13,9 @@
 //!   green run can't be a no-op plan;
 //! * nothing hangs: each sweep runs under a watchdog thread.
 //!
-//! Chaos plans are process-global, so the sweeps serialize on a local
-//! lock. The suite is also the `chaos-smoke` CI stage, run under
+//! Chaos plans are process-global, so the tests serialize on a local
+//! lock, and this is the one test binary allowed to install a plan
+//! (`scripts/ci.sh` fails if another does). The suite is also the `chaos-smoke` CI stage, run under
 //! `FV_THREADS=1` and `4`.
 
 use fillvoid::core::checkpoint::CheckpointStore;
@@ -390,6 +391,268 @@ fn brick_corruption_sweep_recovers_bitwise() {
 #[test]
 fn brick_io_error_sweep_recovers_bitwise() {
     brick_sweep(Kind::IoError);
+}
+
+// ---------------------------------------------------------------------------
+// Crash-only resume: a seeded panic kills a bricked run mid-volume, and the
+// rerun must reuse every brick the ledger committed before the crash,
+// recompute only the rest, and converge to the whole-grid bits.
+
+fn crash_fixture() -> &'static (ScalarField, PointCloud, FcnnPipeline) {
+    static CELL: OnceLock<(ScalarField, PointCloud, FcnnPipeline)> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let g = Grid3::with_geometry([10, 10, 6], [-1.0, 0.5, 2.0], [0.7, 1.1, 0.9]).unwrap();
+        let field = ScalarField::from_world_fn(g, |p| {
+            ((p[0] * 0.4).sin() + 0.3 * p[1] + (p[2] * 0.6).cos()) as f32
+        });
+        let mut cfg = PipelineConfig::small_for_tests();
+        cfg.trainer.epochs = 8;
+        let pipeline = FcnnPipeline::train(&field, &cfg, 3).expect("pretrain");
+        let sampler = ImportanceSampler::new(ImportanceConfig::default());
+        let cloud = sampler.sample(&field, 0.06, 11);
+        (field, cloud, pipeline)
+    })
+}
+
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("fv_chaos_{tag}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+fn assert_bitwise_eq(a: &ScalarField, b: &ScalarField, what: &str) {
+    assert_eq!(a.grid(), b.grid(), "{what}: grids differ");
+    for (i, (x, y)) in a.values().iter().zip(b.values()).enumerate() {
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{what}: voxel {i} differs ({x} vs {y})"
+        );
+    }
+}
+
+#[test]
+fn chaos_crash_mid_volume_resumes_without_losing_committed_bricks() {
+    let _serial = CHAOS_LOCK.lock().unwrap();
+    chaos::silence_chaos_panics();
+    let (field, cloud, pipeline) = crash_fixture();
+    let whole = pipeline
+        .reconstruct(cloud, field.grid())
+        .expect("whole-grid");
+    let cfg = BrickReconConfig {
+        brick_dims: [4, 4, 3],
+        ..Default::default()
+    };
+    // Seeded panic plan: deterministic per seed. Scan seeds until one
+    // crashes strictly mid-volume (some bricks durable, some not) — with
+    // rate 0.3 over ~15 bricks nearly every seed qualifies.
+    let mut demonstrated = false;
+    for seed in 0..10u64 {
+        let dir = temp_dir(&format!("chaos_crash_{seed}"));
+        let crashed = {
+            let _guard = chaos::install(FaultPlan::new(seed).panic_at("brick.recon", 0.3));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                reconstruct_bricked(
+                    pipeline,
+                    cloud,
+                    field.grid(),
+                    &dir,
+                    &cfg,
+                    &ExecCtx::unbounded(),
+                )
+            }))
+            .is_err()
+        };
+        if !crashed {
+            std::fs::remove_dir_all(&dir).ok();
+            continue;
+        }
+        let done_after_crash = BrickStore::open(&dir, *field.grid(), cfg.brick_dims)
+            .expect("reopen")
+            .num_done();
+        let (store, report) = reconstruct_bricked(
+            pipeline,
+            cloud,
+            field.grid(),
+            &dir,
+            &cfg,
+            &ExecCtx::unbounded(),
+        )
+        .expect("resume after crash");
+        assert!(report.is_complete(), "seed {seed}: {report:?}");
+        assert_eq!(
+            report.resumed, done_after_crash,
+            "seed {seed}: every brick committed before the crash must be reused"
+        );
+        assert_eq!(report.completed, report.total_bricks - done_after_crash);
+        let assembled = store.assemble().expect("assemble");
+        assert_bitwise_eq(&whole, &assembled, &format!("chaos crash seed {seed}"));
+        std::fs::remove_dir_all(&dir).ok();
+        if done_after_crash > 0 {
+            demonstrated = true;
+            break;
+        }
+    }
+    assert!(
+        demonstrated,
+        "no seed in 0..10 crashed with at least one brick committed"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Single-site plans against the checkpoint store (`ckpt.save`, `ckpt.load`)
+// and the supervised session (`insitu.step`): retries ride out transient
+// faults, persistent ones surface as errors or degrade the step, and the
+// breaker opens, probes and closes on schedule.
+
+use fillvoid::core::insitu::{BreakerState, FallbackKind};
+
+/// A 14×14×6 hurricane, a model pretrained on its first timestep, and a
+/// session config that fine-tunes 3 epochs every step under `supervision`.
+fn insitu_setup(supervision: SupervisionConfig) -> (Hurricane, FcnnPipeline, InSituConfig) {
+    let sim = Hurricane::builder()
+        .resolution([14, 14, 6])
+        .timesteps(10)
+        .build();
+    let mut cfg = PipelineConfig::small_for_tests();
+    cfg.trainer.epochs = 8;
+    let pipeline = FcnnPipeline::train(&sim.timestep(0), &cfg, 3).unwrap();
+    let config = InSituConfig {
+        fraction: 0.05,
+        drift_threshold: None,
+        fine_tune: FineTuneSpec {
+            epochs: 3,
+            ..FineTuneSpec::case1()
+        },
+        probe_rows: 256,
+        supervision,
+        ..Default::default()
+    };
+    (sim, pipeline, config)
+}
+
+fn fast_retry(attempts: usize, max_ms: u64) -> Backoff {
+    Backoff {
+        attempts,
+        base: Duration::from_millis(1),
+        factor: 2,
+        max: Duration::from_millis(max_ms),
+    }
+}
+
+#[test]
+fn save_with_retry_rides_out_injected_io_errors() {
+    let _serial = CHAOS_LOCK.lock().unwrap();
+    let dir = temp_dir("retryok");
+    let mut store = CheckpointStore::open(&dir, 2).unwrap();
+    let (_, p) = pretrained();
+    // Fail the first two save attempts; a 4-attempt policy must succeed.
+    let _guard = chaos::install(FaultPlan::new(42).io_error_first("ckpt.save", 2));
+    let (gen, retries) = store.save_with_retry(p, &fast_retry(4, 4)).unwrap();
+    assert_eq!(gen, 0);
+    assert_eq!(retries, 2, "both injected failures should be retried away");
+    drop(_guard);
+    let restored = store.load_generation(0).unwrap();
+    assert_eq!(restored.mlp(), p.mlp());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn save_with_retry_surfaces_persistent_failure() {
+    let _serial = CHAOS_LOCK.lock().unwrap();
+    let dir = temp_dir("retryfail");
+    let mut store = CheckpointStore::open(&dir, 2).unwrap();
+    let _guard = chaos::install(FaultPlan::new(7).io_error_at("ckpt.save", 1.0));
+    assert!(store
+        .save_with_retry(&pretrained().1, &fast_retry(3, 2))
+        .is_err());
+    assert!(
+        store.generations().is_empty(),
+        "failed save must not be indexed"
+    );
+    drop(_guard);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn load_generation_has_a_chaos_site() {
+    let _serial = CHAOS_LOCK.lock().unwrap();
+    let dir = temp_dir("loadsite");
+    let mut store = CheckpointStore::open(&dir, 2).unwrap();
+    store.save(&pretrained().1).unwrap();
+    let _guard = chaos::install(FaultPlan::new(3).io_error_at("ckpt.load", 1.0));
+    assert!(store.load_generation(0).is_err());
+    drop(_guard);
+    assert!(store.load_generation(0).is_ok());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn injected_panics_trip_the_breaker_and_a_probe_recovers() {
+    let _serial = CHAOS_LOCK.lock().unwrap();
+    chaos::silence_chaos_panics();
+    let (sim, pipeline, config) = insitu_setup(SupervisionConfig {
+        breaker_threshold: 2,
+        breaker_probe_interval: 2,
+        ..Default::default()
+    });
+    let mut session = InSituSession::new(pipeline, config);
+    // First three model attempts panic, then the site heals.
+    let _guard = chaos::install(FaultPlan::new(1).panic_first("insitu.step", 3));
+    let field = sim.timestep(0);
+    let mut reports = Vec::new();
+    for _ in 0..8 {
+        let (_, recon, report) = session.step(&field).unwrap();
+        assert!(
+            recon.values().iter().all(|v| v.is_finite()),
+            "every supervised step must answer with a finite field"
+        );
+        assert!(report.degraded || report.breaker == BreakerState::Closed);
+        reports.push(report);
+    }
+    // Steps 0–1: panics caught, whole-step fallback, breaker opens.
+    assert!(reports[0].panic_caught && reports[1].panic_caught);
+    assert!(reports[0].fallback_kind == Some(FallbackKind::Idw));
+    assert_eq!(reports[1].breaker, BreakerState::Open);
+    // Steps 2–3: open breaker skips the model (no panic to catch).
+    assert!(!reports[2].panic_caught && !reports[3].panic_caught);
+    assert!(
+        reports[2].probe_loss.is_nan(),
+        "open breaker skips the probe"
+    );
+    assert_eq!(reports[3].breaker, BreakerState::HalfOpen);
+    // Step 4: half-open probe still panics -> breaker reopens.
+    assert!(reports[4].panic_caught);
+    assert_eq!(reports[4].breaker, BreakerState::Open);
+    // Step 7: the next probe finds the site healed -> breaker closes
+    // and the model path (probe + fine-tune) is back.
+    assert!(!reports[7].panic_caught);
+    assert_eq!(reports[7].breaker, BreakerState::Closed);
+    assert!(reports[7].fine_tuned);
+    assert!(reports[7].probe_loss.is_finite());
+}
+
+#[test]
+fn persistent_checkpoint_save_failure_degrades_the_step() {
+    let _serial = CHAOS_LOCK.lock().unwrap();
+    let (sim, pipeline, config) = insitu_setup(SupervisionConfig {
+        io_retry: fast_retry(2, 2),
+        ..Default::default()
+    });
+    let dir = temp_dir("ckptfail");
+    let store = CheckpointStore::open(&dir, 3).unwrap();
+    let mut session = InSituSession::with_checkpoints(pipeline, config, store);
+    let _guard = chaos::install(FaultPlan::new(9).io_error_at("ckpt.save", 1.0));
+    let (_, recon, report) = session.step(&sim.timestep(0)).unwrap();
+    assert!(report.checkpoint_save_failed);
+    assert!(report.degraded, "a lost recovery point must be auditable");
+    assert!(!report.panic_caught);
+    assert!(recon.values().iter().all(|v| v.is_finite()));
+    assert!(
+        session.checkpoints().unwrap().latest().is_none(),
+        "no generation should have been persisted"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ fn frozen_model_degrades_as_the_hurricane_drifts() {
 fn finetuning_adapts_the_objective_without_hurting_quality() {
     // At test scale the network is far too small to memorize
     // timestep-specific structure, so a frozen model barely degrades and
-    // SNR recovery (the paper's Fig. 11, regenerated by `exp_fig11` at
+    // SNR recovery (the paper's Fig. 11, regenerated by `exp fig11` at
     // larger scale) is not measurable here. What must hold at every
     // scale: fine-tuning reduces the model's own objective on the new
     // timestep's data, and does not damage reconstruction quality.
