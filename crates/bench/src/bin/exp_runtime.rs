@@ -23,10 +23,10 @@
 //! summary tree; the numbers themselves are bitwise-unchanged either way.
 
 use fillvoid_core::insitu::{InSituConfig, InSituSession, SupervisionConfig};
-use fillvoid_core::pipeline::{FcnnPipeline, FineTuneSpec, ReconstructWorkspace};
 use fillvoid_core::metrics::snr_db_masked;
+use fillvoid_core::pipeline::{FcnnPipeline, FineTuneSpec, ReconstructWorkspace};
 use fv_bench::{secs, ExpOpts};
-use fv_linalg::{active_kernel_name, detected_kernels, force_kernel, ForcedKernel, GemmScratch};
+use fv_linalg::{active_kernel_name, detected_kernels, force_kernel, GemmScratch};
 use fv_runtime::alloc::{allocation_count, CountingAllocator};
 use fv_runtime::granularity::{dispatch_stats, reset_dispatch_stats, DispatchStats};
 use fv_sampling::{FieldSampler, ImportanceSampler};
@@ -54,7 +54,7 @@ struct Row {
     /// FNV-1a over the reconstruction's f32 bit patterns: a stable
     /// fingerprint the CI gate compares across *processes* (the in-process
     /// `bits_match` flag can only compare widths within one run, not
-    /// `FV_GEMM_KERNEL=portable` vs `auto` runs).
+    /// `FV_GEMM_KERNEL=<name>` runs of different kernels).
     recon_fnv: u64,
     dispatch: Vec<DispatchStats>,
 }
@@ -80,7 +80,8 @@ struct GemmBench {
 }
 
 /// Micro-benchmark the packed-GEMM layer on the paper's forward shape
-/// class (`[batch, in] x [out, in]^T`), once per forceable kernel. The
+/// class (`[batch, in] x [out, in]^T`), once per kernel this host can run
+/// (every entry of `detected_kernels`, `portable` last). The
 /// pack-buffer counters double as the reuse proof: after warm-up every
 /// call reuses the panels, so `grows` stays at 1 per shape.
 fn bench_gemm() -> Vec<GemmBench> {
@@ -89,11 +90,8 @@ fn bench_gemm() -> Vec<GemmBench> {
     let w = fv_linalg::Matrix::from_fn(n, k, |r, c| ((r * 13 + c * 5) % 89) as f32 * 0.023 - 1.0);
     let iters = 60u64;
     let mut out = Vec::new();
-    for (label, choice) in [
-        ("portable", ForcedKernel::Portable),
-        ("native", ForcedKernel::Native),
-    ] {
-        force_kernel(Some(choice));
+    for label in detected_kernels::<f32>() {
+        force_kernel(Some(label));
         let kernel = active_kernel_name::<f32>();
         let mut scratch = GemmScratch::default();
         let mut c = fv_linalg::Matrix::zeros(0, 0);

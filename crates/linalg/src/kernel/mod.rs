@@ -4,10 +4,11 @@
 //! Every matrix-product entry point on [`crate::Matrix`] (`matmul_into`,
 //! `matmul_transpose_b_into`, `transpose_a_matmul_into`,
 //! `matmul_bias_act_into` and the allocating wrappers) routes through the
-//! one driver in this module. The driver packs both operands into dense
-//! panels (the `pack` submodule), runs an `MR x NR` register-tile microkernel over
-//! them, and applies the epilogue (plain store, or fused bias+activation)
-//! during tile write-back.
+//! one driver in this module. The driver packs the right operand B into
+//! dense column panels (the `pack` submodule), runs an `MR x NR`
+//! register-tile microkernel that reads A in place through its strides,
+//! and applies the epilogue (plain store, or fused bias+activation) during
+//! tile write-back.
 //!
 //! ## Determinism contract
 //!
@@ -17,9 +18,9 @@
 //! contract: it does not mention tiles, panels, chunk sizes, or thread
 //! counts, so results are bitwise-identical across
 //!
-//! * microkernels (portable / AVX2 / NEON — the SIMD kernels evaluate the
-//!   same chains lane-parallel and avoid FMA precisely so they round
-//!   identically),
+//! * microkernels (portable / AVX-512 / AVX2 / NEON — the SIMD kernels
+//!   evaluate the same chains lane-parallel and avoid FMA precisely so they
+//!   round identically),
 //! * the packed path and the small-shape fallback paths,
 //! * `FV_GEMM_KERNEL` settings, and
 //! * thread widths (parallelism only ever splits output *rows*; a row's
@@ -34,11 +35,11 @@
 //!
 //! `FV_GEMM_KERNEL` selects the microkernel: `auto` (default) picks the
 //! first native kernel whose CPU check passes, falling back to `portable`;
-//! `portable` forces the scalar reference; a kernel name (`avx2`, `neon`)
-//! forces that kernel when available and silently degrades to `auto` order
-//! otherwise. Because all kernels are bitwise-identical this only ever
-//! changes speed, never values — which is also why the in-process
-//! [`force_kernel`] test hook is sound.
+//! `portable` forces the scalar reference; a kernel name (`avx512`, `avx2`,
+//! `neon`) forces that kernel when available and silently degrades to
+//! `auto` order otherwise. Because all kernels are bitwise-identical this
+//! only ever changes speed, never values — which is also why the
+//! in-process [`force_kernel`] test hook is sound.
 
 pub(crate) mod pack;
 mod portable;
@@ -50,24 +51,27 @@ mod x86;
 use crate::scalar::Scalar;
 use fv_runtime::telemetry;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 static TM_PACK: telemetry::Site = telemetry::Site::new("linalg.gemm.pack", None);
 static TM_KERNEL: telemetry::Site = telemetry::Site::new("linalg.gemm.kernel", None);
 static TM_PACK_BYTES: telemetry::Counter = telemetry::Counter::new("linalg.gemm.pack_bytes");
 
-/// A microkernel: computes one full `MR x NR` tile, `acc = Apanel * Bpanel`,
-/// overwriting `acc`. `a` points at a packed A panel (`k * MR` values,
-/// layout `p*MR + i`), `b` at a packed B panel (`k * NR`, layout
-/// `p*NR + j`), `acc` at an `MR * NR` row-major tile.
-pub type MicroFn<T> = unsafe fn(k: usize, a: *const T, b: *const T, acc: *mut T);
+/// A microkernel: computes one full `MR x NR` tile, `acc = A_rows * Bpanel`,
+/// overwriting `acc`. `a` points at element `(0, 0)` of `MR` rows of A,
+/// read in place: element `(i, p)` is at `a + i * rs_a + p * cs_a`
+/// (row-major A is `(ld, 1)`, stored-transposed A is `(1, ld)`). `b`
+/// points at a packed B panel (`k * NR`, layout `p*NR + j`), `acc` at an
+/// `MR * NR` row-major tile.
+pub type MicroFn<T> =
+    unsafe fn(k: usize, a: *const T, rs_a: usize, cs_a: usize, b: *const T, acc: *mut T);
 
 /// One native (SIMD) microkernel with its runtime availability check.
 /// [`Scalar::gemm_native_kernels`] exposes the per-type table; `auto`
 /// dispatch takes the first entry whose `detect` passes.
 pub struct NativeKernel<T: 'static> {
-    /// Name matched against `FV_GEMM_KERNEL` (e.g. `avx2`, `neon`).
+    /// Name matched against `FV_GEMM_KERNEL` (e.g. `avx512`, `avx2`, `neon`).
     pub name: &'static str,
     /// Runtime CPU-capability check.
     pub detect: fn() -> bool,
@@ -80,17 +84,31 @@ pub struct NativeKernel<T: 'static> {
 pub(crate) const MAX_TILE: usize = 96;
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) static F32_NATIVE: [NativeKernel<f32>; 1] = [NativeKernel {
-    name: "avx2",
-    detect: x86::have_avx2,
-    micro: x86::micro_f32,
-}];
+pub(crate) static F32_NATIVE: [NativeKernel<f32>; 2] = [
+    NativeKernel {
+        name: "avx512",
+        detect: x86::have_avx512,
+        micro: x86::micro_f32_avx512,
+    },
+    NativeKernel {
+        name: "avx2",
+        detect: x86::have_avx2,
+        micro: x86::micro_f32_avx2,
+    },
+];
 #[cfg(target_arch = "x86_64")]
-pub(crate) static F64_NATIVE: [NativeKernel<f64>; 1] = [NativeKernel {
-    name: "avx2",
-    detect: x86::have_avx2,
-    micro: x86::micro_f64,
-}];
+pub(crate) static F64_NATIVE: [NativeKernel<f64>; 2] = [
+    NativeKernel {
+        name: "avx512",
+        detect: x86::have_avx512,
+        micro: x86::micro_f64_avx512,
+    },
+    NativeKernel {
+        name: "avx2",
+        detect: x86::have_avx2,
+        micro: x86::micro_f64_avx2,
+    },
+];
 
 #[cfg(target_arch = "aarch64")]
 pub(crate) static F32_NATIVE: [NativeKernel<f32>; 1] = [NativeKernel {
@@ -122,62 +140,64 @@ fn env_choice() -> &'static str {
 }
 
 /// In-process kernel override for tests and benchmarks (environment
-/// variables are awkward to vary within one process). `None` restores
-/// `FV_GEMM_KERNEL`/auto behavior.
+/// variables are awkward to vary within one process). `Some(name)` selects
+/// a kernel exactly as `FV_GEMM_KERNEL=name` would (`"portable"`, `"auto"`
+/// or a native kernel name such as `"avx2"`; a native kernel this CPU lacks
+/// degrades to `auto` order). `None` restores `FV_GEMM_KERNEL`/auto
+/// behavior. Loop over [`detected_kernels`] to cover every usable kernel.
 ///
 /// Sound to flip at any time from any thread *because* all kernels are
 /// bitwise-identical: concurrent GEMMs may pick different kernels but
 /// never different values.
-pub fn force_kernel(choice: Option<ForcedKernel>) {
-    let v = match choice {
+///
+/// # Panics
+///
+/// On a name that is neither `"auto"`, `"portable"` nor a native kernel
+/// compiled for this target, so a typo cannot silently test `auto`.
+pub fn force_kernel(name: Option<&str>) {
+    let code = match name {
         None => 0,
-        Some(ForcedKernel::Portable) => 1,
-        Some(ForcedKernel::Native) => 2,
+        Some(name) => {
+            1 + forceable_names()
+                .position(|known| known == name)
+                .unwrap_or_else(|| panic!("force_kernel: unknown GEMM kernel {name:?}"))
+        }
     };
-    FORCE.store(v, Ordering::SeqCst);
+    FORCE.store(code, Ordering::SeqCst);
 }
 
-/// Argument to [`force_kernel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ForcedKernel {
-    /// The scalar reference kernel.
-    Portable,
-    /// The first available native kernel (falls back to portable when the
-    /// target has none).
-    Native,
-}
+/// `0` = no override, else `1 +` the position in [`forceable_names`].
+static FORCE: AtomicUsize = AtomicUsize::new(0);
 
-static FORCE: AtomicU8 = AtomicU8::new(0);
-
-fn first_native<T: Scalar>() -> Option<(&'static str, MicroFn<T>)> {
-    T::gemm_native_kernels()
-        .iter()
-        .find(|nk| (nk.detect)())
-        .map(|nk| (nk.name, nk.micro))
+/// Every name [`force_kernel`] accepts. The `f32` and `f64` tables list the
+/// same native kernels in the same order.
+fn forceable_names() -> impl Iterator<Item = &'static str> {
+    ["auto", "portable"]
+        .into_iter()
+        .chain(F32_NATIVE.iter().map(|nk| nk.name))
 }
 
 /// Resolve the active `(name, microkernel)` pair for `T`.
 fn select<T: Scalar>() -> (&'static str, MicroFn<T>) {
+    let choice = match FORCE.load(Ordering::SeqCst) {
+        0 => env_choice(),
+        code => forceable_names().nth(code - 1).expect("stored by force_kernel"),
+    };
     let portable: (&'static str, MicroFn<T>) = ("portable", portable::micro::<T>);
-    match FORCE.load(Ordering::SeqCst) {
-        1 => return portable,
-        2 => return first_native::<T>().unwrap_or(portable),
-        _ => {}
+    if choice == "portable" {
+        return portable;
     }
-    match env_choice() {
-        "portable" => portable,
-        "" | "auto" => first_native::<T>().unwrap_or(portable),
-        name => T::gemm_native_kernels()
-            .iter()
-            .find(|nk| nk.name == name && (nk.detect)())
-            .map(|nk| (nk.name, nk.micro))
-            .unwrap_or_else(|| first_native::<T>().unwrap_or(portable)),
-    }
+    let mut usable = T::gemm_native_kernels().iter().filter(|nk| (nk.detect)());
+    let first = usable.clone().next();
+    usable
+        .find(|nk| nk.name == choice)
+        .or(first)
+        .map_or(portable, |nk| (nk.name, nk.micro))
 }
 
 /// Name of the kernel the dispatcher would run for `T` right now
-/// (`"portable"`, `"avx2"`, `"neon"`). Benchmarks report this as the
-/// chosen ISA.
+/// (`"portable"`, `"avx512"`, `"avx2"`, `"neon"`). Benchmarks report this
+/// as the chosen ISA.
 pub fn active_kernel_name<T: Scalar>() -> &'static str {
     select::<T>().0
 }
@@ -196,11 +216,10 @@ pub fn detected_kernels<T: Scalar>() -> Vec<&'static str> {
 
 /// Reusable pack-buffer workspace. Hot-path callers (the fv-nn
 /// workspaces) hold one per training/inference loop so steady-state GEMMs
-/// allocate nothing: `pack_a`/`pack_b` are `resize`d each call but only
-/// grow capacity the first time a shape is seen.
+/// allocate nothing: `pack_b` is `resize`d each call but only grows
+/// capacity the first time a shape is seen. A is never packed.
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch<T: Scalar> {
-    pack_a: Vec<T>,
     pack_b: Vec<T>,
     calls: u64,
     grows: u64,
@@ -217,12 +236,12 @@ impl<T: Scalar> GemmScratch<T> {
         self.calls
     }
 
-    /// Calls that had to grow a pack buffer's capacity.
+    /// Calls that had to grow the pack buffer's capacity.
     pub fn grows(&self) -> u64 {
         self.grows
     }
 
-    /// Calls served entirely from already-sized buffers — the pack-buffer
+    /// Calls served entirely from an already-sized buffer — the pack-buffer
     /// reuse count benchmarks report.
     pub fn reuses(&self) -> u64 {
         self.calls - self.grows
@@ -251,6 +270,15 @@ impl<'a, T> Operand<'a, T> {
     pub(crate) fn transposed(data: &'a [T], ld: usize) -> Self {
         Self { data, ld, trans: true }
     }
+
+    /// `(row stride, column stride)` of the logical matrix in `data`.
+    fn strides(&self) -> (usize, usize) {
+        if self.trans {
+            (1, self.ld)
+        } else {
+            (self.ld, 1)
+        }
+    }
 }
 
 /// Fused bias+activation epilogue arguments.
@@ -267,11 +295,12 @@ impl<T, F> Clone for BiasActArgs<'_, T, F> {
 impl<T, F> Copy for BiasActArgs<'_, T, F> {}
 
 /// Shapes below this go straight to the unpacked fallback paths: packing
-/// two operands costs more than it saves when the tile grid is ragged or
-/// the reduction is short. Pure function of the shape, so path choice is
-/// deterministic.
-fn use_packed(m: usize, n: usize, k: usize) -> bool {
-    m >= 4 && n >= 8 && k >= 8 && m * n * k >= 4096
+/// B costs more than it saves when the tile grid is ragged or the
+/// reduction is short. `m >= MR` lets the ragged last row panel shift up
+/// inside A (see [`compute_block`]). Pure function of the shape, so path
+/// choice is deterministic.
+fn use_packed(m: usize, n: usize, k: usize, mr: usize) -> bool {
+    m >= mr && n >= 8 && k >= 8 && m * n * k >= 4096
 }
 
 /// Plain product: `C (m x n) = A (m x k) * B (k x n)`, epilogue-free.
@@ -333,7 +362,7 @@ fn run<T: Scalar, F: Fn(T) -> T + Sync>(
     if m == 0 || n == 0 {
         return;
     }
-    if use_packed(m, n, k) {
+    if use_packed(m, n, k, T::GEMM_MR) {
         run_packed(m, n, k, a, b, c, aux, fuse, scratch, parallel);
     } else {
         run_fallback(m, n, k, a, b, c, aux, fuse, parallel);
@@ -356,28 +385,29 @@ fn run_packed<T: Scalar, F: Fn(T) -> T + Sync>(
     let mr = T::GEMM_MR;
     let nr = T::GEMM_NR;
     debug_assert!(mr * nr <= MAX_TILE);
+    // The microkernels read A through raw pointers: every tile reads MR
+    // whole rows (a ragged last panel shifts up, so `m >= MR`), and the
+    // last element of A must lie inside `a.data`.
+    let (rs_a, cs_a) = a.strides();
+    assert!(m >= mr && a.data.len() > (m - 1) * rs_a + (k - 1) * cs_a);
     let (_name, micro) = select::<T>();
 
     scratch.calls += 1;
     {
         let _pack_span = TM_PACK.span();
-        let need_a = m.div_ceil(mr) * mr * k;
         let need_b = n.div_ceil(nr) * nr * k;
-        if need_a > scratch.pack_a.capacity() || need_b > scratch.pack_b.capacity() {
+        if need_b > scratch.pack_b.capacity() {
             scratch.grows += 1;
         }
-        pack::pack_a(&mut scratch.pack_a, a, m, k, mr);
         pack::pack_b(&mut scratch.pack_b, b, n, k, nr);
-        TM_PACK_BYTES.add(((need_a + need_b) * std::mem::size_of::<T>()) as u64);
+        TM_PACK_BYTES.add((need_b * std::mem::size_of::<T>()) as u64);
     }
 
     let _kernel_span = TM_KERNEL.span();
-    let pa: &[T] = &scratch.pack_a;
     let pb: &[T] = &scratch.pack_b;
     let rows_chunk = fv_runtime::granularity::panel_rows(m, mr);
     let block = |bi: usize, cb: &mut [T], ab: Option<&mut [T]>| {
-        let first_panel = bi * rows_chunk / mr;
-        compute_block(cb, ab, first_panel, pa, pb, n, k, mr, nr, micro, fuse);
+        compute_block(cb, ab, bi * rows_chunk, a, pb, n, k, mr, nr, micro, fuse);
     };
     drive(c, aux, n, rows_chunk, parallel, &block);
 }
@@ -419,14 +449,21 @@ fn drive<T: Scalar>(
     }
 }
 
-/// Compute one row-chunk of C from packed panels: loop over the chunk's
-/// A panels x all B panels, microkernel per tile, epilogue at write-back.
+/// Compute one row-chunk of C (global rows `r0..r0 + rows`): loop over
+/// the chunk's `MR`-row panels of A (read in place) x all packed B panels,
+/// microkernel per tile, epilogue at write-back.
+///
+/// A ragged last panel is shifted up so it ends at the chunk's last row:
+/// the tile then recomputes up to `MR - 1` rows that an earlier panel (or
+/// another chunk) owns, bit for bit the same values since each element is
+/// one fixed chain, and writes back only its own rows. That needs
+/// `m >= MR`, which `use_packed` requires and `run_packed` asserts.
 #[allow(clippy::too_many_arguments)]
 fn compute_block<T: Scalar, F: Fn(T) -> T>(
     cb: &mut [T],
     mut ab: Option<&mut [T]>,
-    first_panel: usize,
-    pa: &[T],
+    r0: usize,
+    a: Operand<'_, T>,
     pb: &[T],
     n: usize,
     k: usize,
@@ -437,28 +474,37 @@ fn compute_block<T: Scalar, F: Fn(T) -> T>(
 ) {
     let rows_in = cb.len() / n;
     let col_panels = n.div_ceil(nr);
+    let (rs_a, cs_a) = a.strides();
     let mut acc = [T::ZERO; MAX_TILE];
     for lp in 0..rows_in.div_ceil(mr) {
         let i0 = lp * mr;
         let mv = mr.min(rows_in - i0);
-        let pa_off = (first_panel + lp) * mr * k;
+        // Tile rows `skip..mr` are chunk rows `i0..i0 + mv`.
+        let skip = mr - mv;
+        let a_row = r0 + i0 - skip;
         for u in 0..col_panels {
             let j0 = u * nr;
             let nv = nr.min(n - j0);
-            // SAFETY: panel offsets are in bounds by construction (pack_a/
-            // pack_b sized the buffers for exactly these panel counts) and
-            // `acc` holds MAX_TILE >= mr*nr elements.
+            // SAFETY: A rows `a_row..a_row + mr` lie in `0..m`: only the
+            // last chunk (chunks are whole panels) has a ragged panel, it
+            // ends at row `m`, and `run_packed` asserted `m >= mr` and that
+            // element `(m-1, k-1)` is inside `a.data`. The B panel offset
+            // is in bounds by construction (pack_b sized the buffer for
+            // exactly `col_panels` panels) and `acc` holds
+            // MAX_TILE >= mr*nr elements.
             unsafe {
                 micro(
                     k,
-                    pa.as_ptr().add(pa_off),
+                    a.data.as_ptr().add(a_row * rs_a),
+                    rs_a,
+                    cs_a,
                     pb.as_ptr().add(u * nr * k),
                     acc.as_mut_ptr(),
                 )
             };
             for ii in 0..mv {
                 let row0 = (i0 + ii) * n + j0;
-                let tile = &acc[ii * nr..ii * nr + nv];
+                let tile = &acc[(skip + ii) * nr..(skip + ii) * nr + nv];
                 match fuse {
                     None => cb[row0..row0 + nv].copy_from_slice(tile),
                     Some(f) => {
@@ -644,8 +690,9 @@ mod tests {
         let av = fill(m * k, 1);
         let bv = fill(k * n, 2);
         let want = reference(m, n, k, &av, &bv);
-        for forced in [ForcedKernel::Portable, ForcedKernel::Native] {
-            force_kernel(Some(forced));
+        for name in detected_kernels::<f32>() {
+            force_kernel(Some(name));
+            assert_eq!(active_kernel_name::<f32>(), name);
             let mut c = vec![f32::NAN; m * n];
             let mut scratch = GemmScratch::default();
             gemm(
@@ -658,7 +705,76 @@ mod tests {
                 &mut scratch,
                 false,
             );
-            assert_eq!(c, want, "kernel {forced:?} diverged from canonical order");
+            assert_eq!(c, want, "kernel {name} diverged from canonical order");
+        }
+        force_kernel(None);
+    }
+
+    /// A is read in place through its strides, so a sub-view works without
+    /// a copy: row-major A with `ld > k` (a column block of a wider matrix)
+    /// and stored-transposed A with `ld > m`. Covers every `m mod MR` and a
+    /// parallel product whose last row chunk (5 rows) is shorter than a
+    /// tile, under every detected kernel at pool widths 1 and 4.
+    #[test]
+    fn strided_a_sub_views_match_reference_bitwise() {
+        let pools = [fv_runtime::Pool::new(1), fv_runtime::Pool::new(4)];
+        let shapes = (6..=13).map(|m| (m, 40, 20)).chain([(389, 48, 64)]);
+        for (m, n, k) in shapes {
+            let av = fill(m * k, m as u32);
+            let bv = fill(k * n, 7);
+            let want = reference(m, n, k, &av, &bv);
+            // Row-major A embedded in a wider matrix: `ld = k + 5`.
+            let ld_n = k + 5;
+            let mut wide = fill(m * ld_n, 99);
+            for i in 0..m {
+                wide[i * ld_n..i * ld_n + k].copy_from_slice(&av[i * k..(i + 1) * k]);
+            }
+            // A stored transposed (`k x m`) inside a wider `k x (m + 3)`.
+            let ld_t = m + 3;
+            let mut tall = fill(k * ld_t, 98);
+            for i in 0..m {
+                for p in 0..k {
+                    tall[p * ld_t + i] = av[i * k + p];
+                }
+            }
+            let views = [
+                (
+                    "row-major ld>k",
+                    Operand::normal(&wide[..(m - 1) * ld_n + k], ld_n),
+                ),
+                (
+                    "transposed ld>m",
+                    Operand::transposed(&tall[..(k - 1) * ld_t + m], ld_t),
+                ),
+            ];
+            assert!(use_packed(m, n, k, 6));
+            for name in detected_kernels::<f32>() {
+                force_kernel(Some(name));
+                for (label, a) in views {
+                    for pool in &pools {
+                        let mut c = vec![f32::NAN; m * n];
+                        let mut scratch = GemmScratch::default();
+                        pool.install(|| {
+                            gemm(
+                                m,
+                                n,
+                                k,
+                                a,
+                                Operand::normal(&bv, n),
+                                &mut c,
+                                &mut scratch,
+                                true,
+                            )
+                        });
+                        assert_eq!(
+                            c,
+                            want,
+                            "{label} {m}x{n}x{k} {name} width {}",
+                            pool.num_threads()
+                        );
+                    }
+                }
+            }
         }
         force_kernel(None);
     }
@@ -669,7 +785,7 @@ mod tests {
         let (m, n, k) = (16, 32, 16);
         let av = fill(m * k, 3);
         let bv = fill(k * n, 4);
-        assert!(use_packed(m, n, k));
+        assert!(use_packed(m, n, k, 6));
         let mut packed = vec![0.0f32; m * n];
         let mut scratch = GemmScratch::default();
         gemm(
@@ -701,7 +817,7 @@ mod tests {
     #[test]
     fn scratch_reuse_counts_grows_once_per_shape() {
         let (m, n, k) = (16, 32, 16);
-        assert!(use_packed(m, n, k));
+        assert!(use_packed(m, n, k, 6));
         let av = fill(m * k, 5);
         let bv = fill(k * n, 6);
         let mut c = vec![0.0f32; m * n];
@@ -730,5 +846,19 @@ mod tests {
         let detected = detected_kernels::<f32>();
         assert_eq!(*detected.last().unwrap(), "portable");
         assert!(detected.contains(&name));
+    }
+
+    #[test]
+    fn f32_and_f64_tables_list_the_same_kernels() {
+        let f32_names: Vec<_> = F32_NATIVE.iter().map(|nk| nk.name).collect();
+        let f64_names: Vec<_> = F64_NATIVE.iter().map(|nk| nk.name).collect();
+        assert_eq!(f32_names, f64_names);
+        assert_eq!(detected_kernels::<f32>(), detected_kernels::<f64>());
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown GEMM kernel")]
+    fn forcing_an_unknown_kernel_name_panics() {
+        force_kernel(Some("avx9000"));
     }
 }

@@ -1,59 +1,25 @@
 //! Panel packing for the GEMM layer.
 //!
-//! The driver never hands a microkernel a strided or transposed operand:
-//! both inputs are first repacked into dense panels whose layout is exactly
-//! the order the register tile consumes them in. Packing is also where the
-//! two transposed variants (`A^T * B`, `A * B^T`) are absorbed — the
-//! microkernel itself only ever sees one layout.
+//! Only the right operand B is packed. A is read in place by the
+//! microkernel through its strides, so the activations (the large operand)
+//! are never copied. Packing B is also where the transposed right operand
+//! (`A * B^T`) is absorbed: the microkernel only ever sees one B layout.
 //!
-//! Layouts (`MR`/`NR` are the scalar type's tile geometry):
+//! **B panels** are `NR`-column slabs (`NR` is the scalar type's tile
+//! width). Panel `u` lives at `u * NR * k` and stores
+//! `buf[p * NR + j] = B[p][u*NR + j]`: at step `p` the `NR` right-hand
+//! values are one contiguous vector load.
 //!
-//! * **A panels** — `MR`-row slabs. Panel `t` lives at offset `t * MR * k`
-//!   and stores `buf[p * MR + i] = A[t*MR + i][p]`: at reduction step `p`
-//!   the `MR` left-hand values are adjacent, ready for broadcast loads.
-//! * **B panels** — `NR`-column slabs. Panel `u` lives at `u * NR * k` and
-//!   stores `buf[p * NR + j] = B[p][u*NR + j]`: at step `p` the `NR`
-//!   right-hand values are one contiguous vector load.
-//!
-//! Ragged edges are zero-padded to full `MR`/`NR`. Padding is harmless to
-//! the numerics: a padded row/column only ever contributes to accumulator
+//! A ragged last panel is zero-padded to full `NR`. Padding is harmless to
+//! the numerics: a padded column only ever contributes to accumulator
 //! lanes that are never written back, and a real element's `k`-chain never
 //! contains a padded term (the reduction dimension is never padded). The
-//! buffers are `clear()`ed and re-`resize()`d with zeros on every pack, so
+//! buffer is `clear()`ed and re-`resize()`d with zeros on every pack, so
 //! stale values from a previous (larger) shape can never leak into the
 //! padding lanes.
 
 use super::Operand;
 use crate::scalar::Scalar;
-
-/// Pack the logical `m x k` left operand into `MR`-row panels.
-pub(crate) fn pack_a<T: Scalar>(buf: &mut Vec<T>, a: Operand<'_, T>, m: usize, k: usize, mr: usize) {
-    let panels = m.div_ceil(mr);
-    buf.clear();
-    buf.resize(panels * mr * k, T::ZERO);
-    for t in 0..panels {
-        let i0 = t * mr;
-        let mv = mr.min(m - i0);
-        let dst = &mut buf[t * mr * k..(t + 1) * mr * k];
-        if a.trans {
-            // Source is k x m row-major (`A[i][p] = data[p*ld + i]`): each
-            // reduction step reads a contiguous run of `mv` values.
-            for p in 0..k {
-                let src = &a.data[p * a.ld + i0..p * a.ld + i0 + mv];
-                dst[p * mr..p * mr + mv].copy_from_slice(src);
-            }
-        } else {
-            // Source is m x k row-major: walk each row once, scattering into
-            // the `MR`-strided panel (the panel stays cache-resident).
-            for ii in 0..mv {
-                let src = &a.data[(i0 + ii) * a.ld..(i0 + ii) * a.ld + k];
-                for (p, &v) in src.iter().enumerate() {
-                    dst[p * mr + ii] = v;
-                }
-            }
-        }
-    }
-}
 
 /// Pack the logical `k x n` right operand into `NR`-column panels.
 pub(crate) fn pack_b<T: Scalar>(buf: &mut Vec<T>, b: Operand<'_, T>, n: usize, k: usize, nr: usize) {
@@ -86,26 +52,6 @@ pub(crate) fn pack_b<T: Scalar>(buf: &mut Vec<T>, b: Operand<'_, T>, n: usize, k
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pack_a_layouts_agree_and_pad_with_zeros() {
-        // Logical A is 5x3: A[i][p] = (i*10 + p) as f32.
-        let m = 5usize;
-        let k = 3usize;
-        let mr = 4usize;
-        let normal: Vec<f32> = (0..m * k).map(|x| ((x / k) * 10 + x % k) as f32).collect();
-        let transposed: Vec<f32> = (0..k * m).map(|x| ((x % m) * 10 + x / m) as f32).collect();
-        let mut buf_n = vec![7.0f32; 128]; // poisoned: packing must overwrite
-        let mut buf_t = vec![7.0f32; 1];
-        pack_a(&mut buf_n, Operand::normal(&normal, k), m, k, mr);
-        pack_a(&mut buf_t, Operand::transposed(&transposed, m), m, k, mr);
-        assert_eq!(buf_n, buf_t);
-        assert_eq!(buf_n.len(), 2 * mr * k);
-        // Panel 0, step p=1 holds rows 0..4 of column 1.
-        assert_eq!(&buf_n[mr..2 * mr], &[1.0, 11.0, 21.0, 31.0]);
-        // Panel 1 holds row 4 then three zero-padded rows at every step.
-        assert_eq!(&buf_n[mr * k..mr * k + mr], &[40.0, 0.0, 0.0, 0.0]);
-    }
 
     #[test]
     fn pack_b_layouts_agree_and_pad_with_zeros() {

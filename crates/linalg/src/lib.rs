@@ -44,7 +44,7 @@ pub use fv_runtime::granularity;
 
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
-pub use kernel::{active_kernel_name, detected_kernels, force_kernel, ForcedKernel, GemmScratch};
+pub use kernel::{active_kernel_name, detected_kernels, force_kernel, GemmScratch};
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use scalar::Scalar;

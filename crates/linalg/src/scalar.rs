@@ -128,8 +128,9 @@ macro_rules! impl_scalar {
 }
 
 // Tile geometry: 6x16 f32 / 6x8 f64 fills the 16-register SIMD file of
-// AVX2 and NEON (12 accumulators + operand temporaries); the portable
-// kernel shares the geometry so packing is kernel-independent.
+// AVX2 and NEON (12 accumulators + operand temporaries); AVX-512 holds a
+// tile row per register. Every kernel shares the geometry so B's packing
+// and the row chunking are kernel-independent.
 impl_scalar!(f32, 6, 16, F32_NATIVE);
 impl_scalar!(f64, 6, 8, F64_NATIVE);
 

@@ -70,35 +70,44 @@ if t[4] > 1.10 * t[1]:
 print(f"runtime smoke ok: train 1T={t[1]:.3f}s 4T={t[4]:.3f}s, all rows bitwise-identical")
 EOF
 
-echo "=== gemm kernel stage (microkernel parity, portable vs auto dispatch) ==="
+echo "=== gemm kernel stage (microkernel parity across every detected kernel) ==="
 # The packed-GEMM layer promises bitwise-identical products no matter which
-# microkernel dispatch picks (DESIGN.md §15). The parity suite pins every
-# product variant against a canonical-order reference under both kernels
-# in-process; on top of that, run the whole training + reconstruction
-# experiment once per FV_GEMM_KERNEL setting and require identical SNR and
-# an identical reconstruction fingerprint across the two processes.
-for kern in portable auto; do
+# microkernel dispatch picks (DESIGN.md §15). The auto run lists the
+# kernels this host can run (`gemm.detected`, portable last). For each of
+# them, the parity suite pins every product variant against a
+# canonical-order reference with that kernel selected through
+# FV_GEMM_KERNEL, and the whole training + reconstruction experiment must
+# give the same SNR and reconstruction fingerprint as the auto run.
+FV_GEMM_KERNEL=auto cargo run --release -q -p fv-bench --bin exp_runtime > /dev/null
+mv BENCH_runtime.json BENCH_runtime_auto.json
+kernels=$(python3 -c 'import json; print(" ".join(json.load(open("BENCH_runtime_auto.json"))["gemm"]["detected"]))')
+for kern in $kernels; do
   FV_GEMM_KERNEL=$kern cargo test -q "${MODE[@]}" --test gemm \
     || { echo "gemm parity suite failed (FV_GEMM_KERNEL=$kern)"; exit 1; }
+  FV_GEMM_KERNEL=$kern cargo run --release -q -p fv-bench --bin exp_runtime > /dev/null
+  mv BENCH_runtime.json "BENCH_runtime_kernel_$kern.json"
 done
-FV_GEMM_KERNEL=portable cargo run --release -q -p fv-bench --bin exp_runtime > /dev/null
-mv BENCH_runtime.json BENCH_runtime_portable.json
-FV_GEMM_KERNEL=auto cargo run --release -q -p fv-bench --bin exp_runtime > /dev/null
-python3 - <<'EOF'
-import json, sys
-p = json.load(open("BENCH_runtime_portable.json"))
+mv BENCH_runtime_auto.json BENCH_runtime.json
+KERNELS="$kernels" python3 - <<'EOF'
+import json, os, sys
 a = json.load(open("BENCH_runtime.json"))
-for rp, ra in zip(p["rows"], a["rows"]):
-    if rp["snr_db"] != ra["snr_db"] or rp["recon_fnv"] != ra["recon_fnv"]:
-        sys.exit(
-            f"gemm stage: portable vs auto diverged at threads={rp['threads']}: "
-            f"snr {rp['snr_db']} vs {ra['snr_db']}, fnv {rp['recon_fnv']} vs {ra['recon_fnv']}"
-        )
-    if not (rp["bitwise_match"] and ra["bitwise_match"]):
-        sys.exit(f"gemm stage: in-run divergence at threads={rp['threads']}")
+for kern in os.environ["KERNELS"].split():
+    k = json.load(open(f"BENCH_runtime_kernel_{kern}.json"))
+    if k["gemm"]["active_kernel"] != kern:
+        sys.exit(f"gemm stage: FV_GEMM_KERNEL={kern} ran {k['gemm']['active_kernel']}")
+    for rk, ra in zip(k["rows"], a["rows"]):
+        if rk["snr_db"] != ra["snr_db"] or rk["recon_fnv"] != ra["recon_fnv"]:
+            sys.exit(
+                f"gemm stage: {kern} vs auto diverged at threads={rk['threads']}: "
+                f"snr {rk['snr_db']} vs {ra['snr_db']}, fnv {rk['recon_fnv']} vs {ra['recon_fnv']}"
+            )
+        if not (rk["bitwise_match"] and ra["bitwise_match"]):
+            sys.exit(f"gemm stage: in-run divergence under {kern} at threads={rk['threads']}")
 g = a["gemm"]
 if g["detected"][-1] != "portable":
     sys.exit(f"gemm stage: detected-kernel list must end with portable, got {g['detected']}")
+if [v["kernel"] for v in g["variants"]] != g["detected"]:
+    sys.exit(f"gemm stage: microbench did not cover every detected kernel: {g['variants']}")
 for v in g["variants"]:
     if v["pack_grows"] != 1 or v["pack_reuses"] != v["pack_calls"] - 1:
         sys.exit(f"gemm stage: pack buffers not reused in steady state: {v}")
@@ -108,7 +117,20 @@ print(
     + ", SNR + fingerprint identical across kernels"
 )
 EOF
-rm -f BENCH_runtime_portable.json
+rm -f BENCH_runtime_kernel_*.json
+
+echo "=== address sanitizer (pool latches, in-place GEMM operand reads) ==="
+# A join's latch lives on the waiting thread's stack, so a setter that
+# touches it after publishing completion is a use-after-free that shows up
+# only as a rare SIGSEGV. ASan with stack-use-after-return detection
+# catches it on every run. The fv-linalg tests also run every microkernel
+# over A read in place (sub-views, shifted ragged panels), so an
+# out-of-bounds operand read fails here too. Needs the nightly toolchain
+# (-Zsanitizer).
+RUSTFLAGS=-Zsanitizer=address ASAN_OPTIONS=detect_stack_use_after_return=1 \
+  CARGO_TARGET_DIR=target/asan \
+  cargo +nightly test -q -p fv-runtime -p fv-linalg -p fv-nn --lib --target x86_64-unknown-linux-gnu \
+  || { echo "address sanitizer stage failed"; exit 1; }
 
 echo "=== telemetry smoke (zero-cost when disabled, bitwise-identical when enabled) ==="
 # Re-run the runtime experiment with FV_TELEMETRY=1 and hold the

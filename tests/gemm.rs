@@ -7,12 +7,17 @@
 //! reference, over adversarial shapes (single row/column, empty reduction,
 //! tall/skinny, dimensions that are not a multiple of any tile size) for
 //! every product variant (`A*B`, `A*B^T`, `A^T*B`), for both scalar types,
-//! under both the portable and the native kernel, at pool widths 1 and 4.
-//! `scripts/ci.sh` additionally re-runs the whole suite under
-//! `FV_GEMM_KERNEL=portable` and `FV_THREADS=4`, covering the env-driven
-//! dispatch path on top of the in-process `force_kernel` hook used here.
+//! under every kernel this host can run (`detected_kernels`), at pool
+//! widths 1 and 4. Every row remainder `m mod MR` is covered, including
+//! shapes whose last parallel row chunk is shorter than one tile (the
+//! microkernels read A in place, so a ragged last panel shifts up into rows
+//! another panel owns). The fused bias+activation epilogue is covered with
+//! and without the separate pre-activation output. `scripts/ci.sh` additionally re-runs the whole
+//! suite under `FV_GEMM_KERNEL=<name>` for every detected kernel and under
+//! `FV_THREADS=4`, covering the env-driven dispatch path on top of the
+//! in-process `force_kernel` hook used here.
 
-use fillvoid::linalg::{force_kernel, ForcedKernel, GemmScratch, Matrix};
+use fillvoid::linalg::{active_kernel_name, detected_kernels, force_kernel, GemmScratch, Matrix};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -41,7 +46,40 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (6, 16, 8),    // exactly one f32 tile
     (7, 17, 8),    // one tile plus a ragged fringe
     (128, 96, 96), // clears the min-work threshold: parallel chunking
+    // Every `m mod 6` (the tile height of both scalar types) just above one
+    // tile (13 is above); A is read in place, so a ragged last panel
+    // shifts up.
+    (6, 40, 20),
+    (7, 40, 20),
+    (8, 40, 20),
+    (9, 40, 20),
+    (10, 40, 20),
+    (11, 40, 20),
+    (12, 40, 20),
+    // Parallel, and the last row chunk is shorter than a tile: with 64
+    // deterministic chunks, 385..=389 rows make 12-row chunks and a last
+    // chunk of 1..=5 rows, whose shifted panel reads the previous chunk.
+    (385, 48, 64),
+    (386, 40, 57),
+    (387, 48, 64),
+    (388, 33, 70),
+    (389, 48, 64),
 ];
+
+/// Force each detected kernel in turn (checking the override took) and
+/// run `body` under it, then restore auto dispatch.
+fn for_each_kernel<T: fillvoid::linalg::Scalar>(mut body: impl FnMut(&'static str)) {
+    for name in detected_kernels::<T>() {
+        force_kernel(Some(name));
+        assert_eq!(
+            active_kernel_name::<T>(),
+            name,
+            "force_kernel({name}) did not take"
+        );
+        body(name);
+    }
+    force_kernel(None);
+}
 
 macro_rules! parity_suite {
     ($modname:ident, $t:ty) => {
@@ -133,35 +171,44 @@ macro_rules! parity_suite {
             #[test]
             fn all_variants_match_reference_bitwise_everywhere() {
                 let _g = lock();
+                let pools = [fv_runtime::Pool::new(1), fv_runtime::Pool::new(4)];
                 for &(m, n, k) in SHAPES {
                     let a = fill(m * k, (m * 31 + n * 7 + k) as u32);
                     let b = fill(k * n, (m + n * 13 + k * 3) as u32 ^ 0x5eed);
                     let want = bits(&reference(m, n, k, &a, &b));
                     for variant in ["matmul", "matmul_transpose_b", "transpose_a_matmul"] {
-                        for forced in [ForcedKernel::Portable, ForcedKernel::Native] {
-                            force_kernel(Some(forced));
-                            for width in [1usize, 4] {
-                                let pool = fv_runtime::Pool::new(width);
-                                let got = pool.install(|| {
-                                    bits(&run_variant(variant, m, n, k, &a, &b))
-                                });
+                        for_each_kernel::<S>(|name| {
+                            for pool in &pools {
+                                let got =
+                                    pool.install(|| bits(&run_variant(variant, m, n, k, &a, &b)));
                                 assert_eq!(
-                                    got, want,
-                                    "{variant} {m}x{n}x{k} {forced:?} width {width} \
-                                     diverged from canonical order"
+                                    got,
+                                    want,
+                                    "{variant} {m}x{n}x{k} {name} width {} \
+                                     diverged from canonical order",
+                                    pool.num_threads()
                                 );
                             }
-                        }
+                        });
                     }
                 }
-                force_kernel(None);
             }
 
             #[test]
             fn fused_bias_act_epilogue_matches_two_pass_reference() {
                 let _g = lock();
                 let act = |v: S| if v > 0.0 { v } else { (0.125 as S) * v };
-                for &(m, n, k) in &[(37usize, 6usize, 8usize), (64, 48, 23), (1, 5, 3)] {
+                let pools = [fv_runtime::Pool::new(1), fv_runtime::Pool::new(4)];
+                // Fallback-sized, packed with ragged tiles, `m mod 6 == 1`,
+                // and a parallel product with a ragged last row chunk.
+                let shapes = [
+                    (37usize, 6usize, 8usize),
+                    (64, 48, 23),
+                    (1, 5, 3),
+                    (13, 40, 20),
+                    (389, 48, 64),
+                ];
+                for (m, n, k) in shapes {
                     let a = fill(m * k, 77);
                     // Weights stored [n, k] (one row per output unit).
                     let w = fill(n * k, 78);
@@ -179,42 +226,48 @@ macro_rules! parity_suite {
                     }
                     let lhs = Matrix::from_vec(m, k, a.clone()).unwrap();
                     let rhs = Matrix::from_vec(n, k, w.clone()).unwrap();
-                    for forced in [ForcedKernel::Portable, ForcedKernel::Native] {
-                        force_kernel(Some(forced));
-                        let mut scratch = GemmScratch::default();
-                        // Training form: pre and activation split out.
-                        let mut pre = Matrix::zeros(0, 0);
-                        let mut out = Matrix::zeros(0, 0);
-                        lhs.matmul_bias_act_into_with(
-                            &rhs,
-                            &bias,
-                            act,
-                            Some(&mut pre),
-                            &mut out,
-                            &mut scratch,
-                        )
-                        .unwrap();
-                        assert_eq!(bits(pre.as_slice()), bits(&want_pre), "{forced:?} pre");
-                        assert_eq!(bits(out.as_slice()), bits(&want_act), "{forced:?} act");
-                        // Inference form: activation only, written directly.
-                        let mut direct = Matrix::zeros(0, 0);
-                        lhs.matmul_bias_act_into_with(
-                            &rhs,
-                            &bias,
-                            act,
-                            None,
-                            &mut direct,
-                            &mut scratch,
-                        )
-                        .unwrap();
-                        assert_eq!(
-                            bits(direct.as_slice()),
-                            bits(&want_act),
-                            "{forced:?} fused inference"
-                        );
-                    }
+                    for_each_kernel::<S>(|name| {
+                        for pool in &pools {
+                            let width = pool.num_threads();
+                            let mut scratch = GemmScratch::default();
+                            // Training form: pre and activation split out.
+                            let mut pre = Matrix::zeros(0, 0);
+                            let mut out = Matrix::zeros(0, 0);
+                            pool.install(|| {
+                                lhs.matmul_bias_act_into_with(
+                                    &rhs,
+                                    &bias,
+                                    act,
+                                    Some(&mut pre),
+                                    &mut out,
+                                    &mut scratch,
+                                )
+                            })
+                            .unwrap();
+                            let tag = format!("{m}x{n}x{k} {name} width {width}");
+                            assert_eq!(bits(pre.as_slice()), bits(&want_pre), "{tag} pre");
+                            assert_eq!(bits(out.as_slice()), bits(&want_act), "{tag} act");
+                            // Inference form: activation only, written directly.
+                            let mut direct = Matrix::zeros(0, 0);
+                            pool.install(|| {
+                                lhs.matmul_bias_act_into_with(
+                                    &rhs,
+                                    &bias,
+                                    act,
+                                    None,
+                                    &mut direct,
+                                    &mut scratch,
+                                )
+                            })
+                            .unwrap();
+                            assert_eq!(
+                                bits(direct.as_slice()),
+                                bits(&want_act),
+                                "{tag} fused inference"
+                            );
+                        }
+                    });
                 }
-                force_kernel(None);
             }
         }
     };
@@ -243,9 +296,9 @@ fn matvec_into_reuses_buffer_and_matches_matvec() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random shapes: the portable and native kernels agree bitwise on all
-    /// three product variants (this is the cross-kernel half of the
-    /// contract; the fixed SHAPES table pins both against the reference).
+    /// Random shapes: every detected kernel agrees bitwise with `portable`
+    /// on all three product variants (this is the cross-kernel half of the
+    /// contract; the fixed SHAPES table pins each against the reference).
     #[test]
     fn random_shapes_agree_across_kernels(
         m in 0usize..34,
@@ -265,8 +318,7 @@ proptest! {
         let lhs = Matrix::from_vec(m, k, a_logical).unwrap();
         let rhs_nk = Matrix::from_vec(n, k, b_stored).unwrap(); // for A * B^T
         let rhs_kn = rhs_nk.transpose(); // k x n, for A * B and (A^T)^T * B
-        let run_all = |forced: ForcedKernel| -> Vec<u32> {
-            force_kernel(Some(forced));
+        let run_all = || -> Vec<u32> {
             let mut scratch = GemmScratch::default();
             let mut bits = Vec::new();
             let mut out = Matrix::zeros(0, 0);
@@ -278,9 +330,11 @@ proptest! {
             bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
             bits
         };
-        let portable = run_all(ForcedKernel::Portable);
-        let native = run_all(ForcedKernel::Native);
-        force_kernel(None);
-        prop_assert_eq!(portable, native);
+        let mut runs = Vec::new();
+        for_each_kernel::<f32>(|name| runs.push((name, run_all())));
+        let (_, portable) = runs.last().expect("portable is always detected");
+        for (name, got) in &runs {
+            prop_assert_eq!(got, portable, "{} diverged from portable", name);
+        }
     }
 }
