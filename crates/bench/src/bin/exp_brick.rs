@@ -6,10 +6,10 @@
 //! 1. **Memory/wall-clock** — reconstruct a grid whose dense volume is at
 //!    least 4× the brick budget, bricked *first* (so the process
 //!    high-watermark reflects the streaming path, not a previous dense
-//!    allocation), then whole-grid for comparison. Asserts the pipeline's
-//!    own in-flight accounting stays within the configured budget of
-//!    `(prefetch + 2) · max_brick_len · 4` bytes and that the assembled
-//!    bricks match the whole-grid volume bit for bit.
+//!    allocation), then whole-grid for comparison. Asserts the run's own
+//!    in-flight accounting stays within one brick, `max_brick_len · 4`
+//!    bytes (bricks run one at a time), and that the assembled bricks
+//!    match the whole-grid volume bit for bit.
 //! 2. **Crash-resume** — a seeded chaos panic kills the pipeline
 //!    mid-volume; a clean rerun resumes from the ledger, recomputes only
 //!    the unfinished bricks, and converges to the same bits. This is the
@@ -57,9 +57,9 @@ fn main() {
     let cloud = ImportanceSampler::default().sample(&field, 0.03, opts.seed);
     let model = FcnnPipeline::train(&field, &config, opts.seed).expect("training");
 
-    // Bricks of ~1/27 of the volume each: with the default prefetch of 2
-    // the budget is 4 bricks in flight, so the dense volume is ≥ 4× the
-    // budget — the out-of-core regime the ISSUE's acceptance bar names.
+    // Bricks of ~1/27 of the volume each, one in flight at a time: the
+    // dense volume is ~27× the one-brick budget, well inside the
+    // out-of-core regime (≥ 4× the budget) the CI gate checks.
     let cfg = BrickReconConfig {
         brick_dims: [
             dims[0].div_ceil(3).max(1),
@@ -80,7 +80,7 @@ fn main() {
     let rss_bricked = peak_rss_kib();
     assert!(report.is_complete(), "{report:?}");
 
-    let budget_bytes = (cfg.prefetch + 2) * store.layout().max_brick_len() * 4;
+    let budget_bytes = store.layout().max_brick_len() * 4;
     let volume_bytes = field.grid().num_points() * 4;
     assert!(
         report.peak_inflight_bytes <= budget_bytes,

@@ -28,6 +28,7 @@ use fillvoid_core::pipeline::{FcnnPipeline, FineTuneSpec, ReconstructWorkspace};
 use fv_bench::{secs, ExpOpts};
 use fv_linalg::{active_kernel_name, detected_kernels, force_kernel, GemmScratch};
 use fv_runtime::alloc::{allocation_count, CountingAllocator};
+use fv_runtime::checksum::Fnv1a;
 use fv_runtime::granularity::{dispatch_stats, reset_dispatch_stats, DispatchStats};
 use fv_sampling::{FieldSampler, ImportanceSampler};
 use fv_sims::DatasetSpec;
@@ -57,17 +58,6 @@ struct Row {
     /// `FV_GEMM_KERNEL=<name>` runs of different kernels).
     recon_fnv: u64,
     dispatch: Vec<DispatchStats>,
-}
-
-fn fnv1a64(bits: &[u32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bits {
-        for byte in b.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
 }
 
 struct GemmBench {
@@ -151,7 +141,11 @@ fn main() {
                 (train_s, reconstruct_s, model, recon, a1 - a0, a2 - a1)
             });
         let bits: Vec<u32> = recon.values().iter().map(|v| v.to_bits()).collect();
-        let recon_fnv = fnv1a64(&bits);
+        let mut fnv = Fnv1a::new();
+        for b in &bits {
+            fnv.update(&b.to_le_bytes());
+        }
+        let recon_fnv = fnv.finish();
         let bits_match = match &reference_bits {
             Some(reference) => reference == &bits,
             None => {

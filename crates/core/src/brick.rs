@@ -1,12 +1,12 @@
 //! Out-of-core bricked reconstruction with crash-only per-brick resume.
 //!
 //! [`reconstruct_bricked`] streams a reconstruction brick by brick instead
-//! of materializing the dense output volume: a *prefetch* thread gathers
-//! each brick's halo samples and builds its ghost k-d tree, the calling
-//! thread runs the FCNN reconstruction, and a *commit* thread persists
-//! finished bricks into a crash-safe [`BrickStore`] — three stages coupled
-//! by bounded channels, so at most `prefetch + 2` bricks of dense data are
-//! ever in flight regardless of volume size (DESIGN.md §13).
+//! of materializing the dense output volume. One [`BrickStreamer`] gathers
+//! each brick's halo samples into a ghost k-d tree and runs the FCNN
+//! reconstruction; the finished brick is committed to a crash-safe
+//! [`BrickStore`] before the next one starts. Exactly one brick of dense
+//! data is in flight at any time, regardless of volume size (DESIGN.md
+//! §13).
 //!
 //! Results are **bitwise-identical** to [`FcnnPipeline::reconstruct`] at
 //! any brick size and thread count. The chain of guarantees:
@@ -19,12 +19,13 @@
 //! 2. feature rows go through the same fill function as the whole-grid
 //!    path ([`crate::features`]), so equal neighborhoods produce equal
 //!    rows by construction;
-//! 3. the forward pass is row-independent, so per-brick batching cannot
-//!    change any row's value.
+//! 3. the forward pass runs through the same batch loop as the whole-grid
+//!    path ([`FcnnPipeline::predict_rows`]) and is row-independent, so
+//!    per-brick batching cannot change any row's value.
 //!
 //! Crash-only recovery: every committed brick is durable before the store's
 //! ledger flags it complete, so a crash (or chaos-injected fault) at any
-//! instant loses at most the bricks in flight. A rerun re-opens the store,
+//! instant loses at most the brick in flight. A rerun re-opens the store,
 //! verifies the ledger's claims, and recomputes only what is missing.
 
 use crate::error::CoreError;
@@ -41,15 +42,13 @@ use fv_sampling::PointCloud;
 use fv_spatial::{GhostTree, KnnScratch, Neighbor};
 use rayon::prelude::*;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 static OP_BRICK_KNN: OpCounter = OpCounter::new("core.brick_knn");
 
-// Brick-pipeline telemetry (inert and allocation-free unless
-// FV_TELEMETRY=1): one parent span per run, child spans per brick on the
-// reconstruct and commit stages, progress counters, and a queue-depth
-// gauge for the prefetch channel.
+// Brick telemetry (inert and allocation-free unless FV_TELEMETRY=1): one
+// parent span per run, child spans per brick on reconstruction and
+// commit, and progress counters.
 static TM_BRICK: telemetry::Site = telemetry::Site::new("brick.pipeline", None);
 static TM_BRICK_RECON: telemetry::Site = telemetry::Site::new("brick.recon", Some("brick.pipeline"));
 static TM_BRICK_COMMIT: telemetry::Site =
@@ -58,7 +57,6 @@ static TM_BRICK_COMPLETED: telemetry::Counter = telemetry::Counter::new("brick.c
 static TM_BRICK_RESUMED: telemetry::Counter = telemetry::Counter::new("brick.resumed");
 static TM_BRICK_RECOMPUTED: telemetry::Counter = telemetry::Counter::new("brick.recomputed");
 static TM_BRICK_HALO_BYTES: telemetry::Counter = telemetry::Counter::new("brick.halo_bytes");
-static TM_PREFETCH_DEPTH: telemetry::Gauge = telemetry::Gauge::new("brick.prefetch_depth");
 
 /// Bytes per ghost sample gathered: one `[f64; 3]` position + one `f32`.
 const GHOST_SAMPLE_BYTES: u64 = 28;
@@ -74,9 +72,6 @@ pub struct BrickReconConfig {
     /// gather. Too small only costs retries (the halo doubles until the
     /// kNN certificate holds); it can never change the result.
     pub halo: usize,
-    /// Bound on the prefetch channel: how many gathered-but-unprocessed
-    /// bricks may queue ahead of the reconstruct stage.
-    pub prefetch: usize,
     /// Re-verify (CRC) every brick the ledger claims complete before
     /// skipping it on resume; bricks failing verification are recomputed.
     pub verify_resumed: bool,
@@ -87,7 +82,6 @@ impl Default for BrickReconConfig {
         Self {
             brick_dims: [32, 32, 32],
             halo: 2,
-            prefetch: 2,
             verify_resumed: true,
         }
     }
@@ -103,9 +97,6 @@ impl BrickReconConfig {
         }
         if self.halo == 0 {
             return Err(CoreError::BadConfig("halo must be >= 1".into()));
-        }
-        if self.prefetch == 0 {
-            return Err(CoreError::BadConfig("prefetch must be >= 1".into()));
         }
         Ok(())
     }
@@ -128,9 +119,9 @@ pub struct BrickRunReport {
     pub interrupted: Option<StopReason>,
     /// Ghost-sample bytes gathered across all bricks and halo retries.
     pub halo_bytes: u64,
-    /// Peak bytes of dense brick payloads simultaneously in flight
-    /// (reconstructing + queued for commit + committing). Bounded by
-    /// `(prefetch + 2) · max_brick_len · 4` by construction.
+    /// Peak bytes of dense brick payload in flight. Bricks run one at a
+    /// time, so this is the largest brick's `len · 4`, bounded by
+    /// `max_brick_len · 4`.
     pub peak_inflight_bytes: usize,
     /// Largest halo any brick needed before its kNN certificate held.
     pub max_halo: usize,
@@ -233,16 +224,7 @@ fn gather_ghost(
     )
 }
 
-/// One prefetched brick: its ghost tree, border bound, and the halo the
-/// gather used (the reconstruct stage's starting point for growth).
-struct BrickJob {
-    b: usize,
-    ghost: GhostTree,
-    border: Border,
-    halo: usize,
-}
-
-/// Buffers reused across bricks by the reconstruct stage.
+/// Buffers reused across bricks by a [`BrickStreamer`].
 struct BrickWorkspace {
     /// (offset within brick, grid-linear index) of each voxel to predict.
     queries: Vec<(usize, usize)>,
@@ -270,12 +252,14 @@ impl Default for BrickWorkspace {
 /// through the crash-safe store in `dir`.
 ///
 /// Opens (or resumes) a [`BrickStore`] for `target` decomposed by
-/// `cfg.brick_dims`, reconstructs every pending brick, and returns the
-/// store plus a [`BrickRunReport`]. A cancelled or deadline-expired `ctx`
-/// stops at the next brick/batch boundary with `interrupted` set — already
-/// committed bricks stay durable, so the next call continues where this
-/// one stopped. The assembled volume (see [`BrickStore::assemble`]) is
-/// bitwise-identical to [`FcnnPipeline::reconstruct`] on the same inputs.
+/// `cfg.brick_dims`, reconstructs every pending brick in order through one
+/// [`BrickStreamer`], commits each before starting the next, and returns
+/// the store plus a [`BrickRunReport`]. A cancelled or deadline-expired
+/// `ctx` stops at the next brick/batch boundary with `interrupted` set —
+/// already committed bricks stay durable, so the next call continues where
+/// this one stopped. The assembled volume (see [`BrickStore::assemble`])
+/// is bitwise-identical to [`FcnnPipeline::reconstruct`] on the same
+/// inputs.
 pub fn reconstruct_bricked(
     pipeline: &FcnnPipeline,
     cloud: &PointCloud,
@@ -284,19 +268,15 @@ pub fn reconstruct_bricked(
     cfg: &BrickReconConfig,
     ctx: &ExecCtx,
 ) -> Result<(BrickStore, BrickRunReport), CoreError> {
-    cfg.validate()?;
-    if cloud.is_empty() {
-        return Err(CoreError::EmptyCloud);
-    }
+    let mut streamer = BrickStreamer::new(cloud, target, cfg)?;
     let _span = TM_BRICK.span();
     let mut store = BrickStore::open(dir, *target, cfg.brick_dims)?;
-    let layout = *store.layout();
 
     // Resume: re-verify what the ledger claims before trusting it.
     let mut resumed = 0usize;
     let mut recomputed = 0usize;
     if cfg.verify_resumed {
-        for b in 0..layout.num_bricks() {
+        for b in 0..store.layout().num_bricks() {
             if !store.is_done(b) {
                 continue;
             }
@@ -311,176 +291,59 @@ pub fn reconstruct_bricked(
     } else {
         resumed = store.num_done();
     }
-    let pending = store.pending();
 
-    let frame = CoordFrame::of_grid(target);
-    let same_grid = cloud.grid() == target;
-    let sample_ijk: Vec<[usize; 3]> = cloud
-        .indices()
-        .iter()
-        .map(|&idx| cloud.grid().unlinear(idx))
-        .collect();
-
-    let halo_bytes = AtomicU64::new(0);
-    let inflight = AtomicUsize::new(0);
-    let peak_inflight = AtomicUsize::new(0);
-    let sent = AtomicUsize::new(0);
-    let received = AtomicUsize::new(0);
-    let mut max_halo = cfg.halo;
+    let mut completed = 0usize;
     let mut interrupted = None;
-    let mut fatal: Option<CoreError> = None;
-
-    let store_ref = &mut store;
-    let committed: usize = std::thread::scope(|s| {
-        let (job_tx, job_rx) = mpsc::sync_channel::<BrickJob>(cfg.prefetch);
-        let (commit_tx, commit_rx) = mpsc::sync_channel::<(usize, Vec<f32>)>(1);
-
-        let prefetch = s.spawn({
-            let pending = &pending;
-            let sample_ijk = &sample_ijk;
-            let halo_bytes = &halo_bytes;
-            let sent = &sent;
-            let received = &received;
-            move || {
-                for &b in pending {
-                    if ctx.should_stop() {
-                        return;
-                    }
-                    let (lo, hi) = layout.brick_range(b);
-                    let wlo = target.world(lo);
-                    let whi = target.world([hi[0] - 1, hi[1] - 1, hi[2] - 1]);
-                    let (ghost, border) = gather_ghost(
-                        cloud.positions(),
-                        sample_ijk,
-                        cloud.grid(),
-                        wlo,
-                        whi,
-                        cfg.halo,
-                    );
-                    halo_bytes.fetch_add(ghost.len() as u64 * GHOST_SAMPLE_BYTES, Ordering::Relaxed);
-                    TM_BRICK_HALO_BYTES.add(ghost.len() as u64 * GHOST_SAMPLE_BYTES);
-                    if job_tx
-                        .send(BrickJob {
-                            b,
-                            ghost,
-                            border,
-                            halo: cfg.halo,
-                        })
-                        .is_err()
-                    {
-                        return; // downstream shut down
-                    }
-                    let depth = sent.fetch_add(1, Ordering::Relaxed) + 1
-                        - received.load(Ordering::Relaxed);
-                    TM_PREFETCH_DEPTH.set(depth as u64);
-                }
-            }
-        });
-
-        let commit = s.spawn({
-            let inflight = &inflight;
-            move || -> Result<usize, fv_field::FieldError> {
-                let mut n = 0usize;
-                while let Ok((b, values)) = commit_rx.recv() {
-                    let _span = TM_BRICK_COMMIT.span();
-                    let bytes = values.len() * 4;
-                    let committed = store_ref.commit(b, &values);
-                    drop(values);
-                    inflight.fetch_sub(bytes, Ordering::Relaxed);
-                    committed?;
-                    n += 1;
-                    TM_BRICK_COMPLETED.incr();
-                }
-                Ok(n)
-            }
-        });
-
-        let mut ws = BrickWorkspace::default();
-        while let Ok(job) = job_rx.recv() {
-            received.fetch_add(1, Ordering::Relaxed);
-            if let Some(reason) = ctx.stop_reason() {
-                interrupted = Some(reason);
-                break;
-            }
-            chaos::point("brick.recon");
-            let _span = TM_BRICK_RECON.span();
-            match recon_brick(
-                pipeline, cloud, target, &frame, &layout, same_grid, &sample_ijk, job, ctx, &mut ws,
-                &halo_bytes, &inflight, &peak_inflight,
-            ) {
-                Ok(Some((b, mut values, brick_halo))) => {
-                    max_halo = max_halo.max(brick_halo);
-                    // Models silent corruption of the finished brick buffer
-                    // before it reaches durable storage; the commit CRC is
-                    // computed *after* this, so detection falls to the
-                    // caller's non-finite scan / recompute policy, exactly
-                    // like the whole-grid `recon.output` site.
-                    chaos::corrupt_f32("brick.output", &mut values);
-                    if commit_tx.send((b, values)).is_err() {
-                        break; // commit stage died; its join tells us why
-                    }
-                }
-                Ok(None) => {
-                    interrupted = ctx.stop_reason();
-                    break;
-                }
-                Err(e) => {
-                    fatal = Some(e);
-                    break;
-                }
-            }
+    for b in store.pending() {
+        if let Some(reason) = ctx.stop_reason() {
+            interrupted = Some(reason);
+            break;
         }
-
-        drop(job_rx); // unblocks a prefetch stuck on send
-        drop(commit_tx); // lets commit drain its queue and exit
-        if let Err(panic) = prefetch.join() {
-            std::panic::resume_unwind(panic);
-        }
-        match commit.join() {
-            Err(panic) => std::panic::resume_unwind(panic),
-            Ok(Ok(n)) => Ok(n),
-            Ok(Err(e)) => Err(CoreError::from(e)),
-        }
-    })?;
-    if let Some(e) = fatal {
-        return Err(e);
-    }
-    if interrupted.is_none() {
-        interrupted = ctx.stop_reason();
+        chaos::point("brick.recon");
+        let Some(mut values) = streamer.recon(pipeline, cloud, b, ctx)? else {
+            interrupted = ctx.stop_reason();
+            break;
+        };
+        // Models silent corruption of the finished brick buffer before it
+        // reaches durable storage; the commit CRC is computed *after*
+        // this, so detection falls to the caller's non-finite scan /
+        // recompute policy, exactly like the whole-grid `recon.output`
+        // site.
+        chaos::corrupt_f32("brick.output", &mut values);
+        let _span = TM_BRICK_COMMIT.span();
+        store.commit(b, &values)?;
+        completed += 1;
     }
 
     TM_BRICK_RESUMED.add(resumed as u64);
     TM_BRICK_RECOMPUTED.add(recomputed as u64);
     let report = BrickRunReport {
-        total_bricks: layout.num_bricks(),
-        completed: committed,
+        total_bricks: streamer.num_bricks(),
+        completed,
         resumed,
         recomputed,
         interrupted,
-        halo_bytes: halo_bytes.load(Ordering::Relaxed),
-        peak_inflight_bytes: peak_inflight.load(Ordering::Relaxed),
-        max_halo,
+        halo_bytes: streamer.halo_bytes,
+        peak_inflight_bytes: streamer.peak_brick_bytes,
+        max_halo: streamer.max_halo,
     };
     Ok((store, report))
 }
 
-/// On-demand single-brick reconstruction for serving layers.
+/// Single-brick reconstruction, in any order.
 ///
-/// [`reconstruct_bricked`] drives a whole volume through a disk-backed
-/// store; a network server instead wants to compute *one brick at a time,
-/// in whatever order its scheduler picks*, and ship each result straight
-/// to a socket. `BrickStreamer` is that seam: it owns the derived state a
-/// brick computation needs (layout, coordinate frame, the cloud's integer
-/// index table, reusable workspaces) and exposes [`BrickStreamer::recon`]
-/// for any brick index.
+/// `BrickStreamer` owns the derived state a brick computation needs
+/// (layout, coordinate frame, the cloud's integer index table, reusable
+/// workspaces) and exposes [`BrickStreamer::recon`] for any brick index.
+/// [`reconstruct_bricked`] drives one over every pending brick of a
+/// disk-backed store; a network server computes bricks in whatever order
+/// its scheduler picks and ships each straight to a socket.
 ///
-/// Every brick goes through the same ghost-gather + certified-kNN +
-/// forward-pass path as the pipelined run, and each brick's value is a
-/// pure function of `(pipeline, cloud, target, brick index)` — halo growth
-/// is geometry-only — so results are **bitwise-identical** to both
-/// [`reconstruct_bricked`] and the whole-grid
-/// [`FcnnPipeline::reconstruct`], regardless of the order bricks are
-/// requested, interleaving with other streams, or thread width.
+/// Each brick's value is a pure function of `(pipeline, cloud, target,
+/// brick index)` — halo growth is geometry-only — so results are
+/// **bitwise-identical** to the whole-grid [`FcnnPipeline::reconstruct`],
+/// regardless of the order bricks are requested, interleaving with other
+/// streams, or thread width.
 ///
 /// The `cloud` and `pipeline` handed to [`BrickStreamer::recon`] must be
 /// the ones `new` was called with; the streamer only caches state derived
@@ -492,9 +355,8 @@ pub struct BrickStreamer {
     sample_ijk: Vec<[usize; 3]>,
     cfg: BrickReconConfig,
     ws: BrickWorkspace,
-    halo_bytes: AtomicU64,
-    inflight: AtomicUsize,
-    peak_inflight: AtomicUsize,
+    halo_bytes: u64,
+    peak_brick_bytes: usize,
     max_halo: usize,
 }
 
@@ -526,9 +388,8 @@ impl BrickStreamer {
             sample_ijk,
             cfg: *cfg,
             ws: BrickWorkspace::default(),
-            halo_bytes: AtomicU64::new(0),
-            inflight: AtomicUsize::new(0),
-            peak_inflight: AtomicUsize::new(0),
+            halo_bytes: 0,
+            peak_brick_bytes: 0,
             max_halo: cfg.halo,
         })
     }
@@ -551,7 +412,7 @@ impl BrickStreamer {
 
     /// Ghost-sample bytes gathered across all bricks and halo retries.
     pub fn halo_bytes(&self) -> u64 {
-        self.halo_bytes.load(Ordering::Relaxed)
+        self.halo_bytes
     }
 
     /// Reconstruct brick `b` and return its dense payload in the brick's
@@ -573,222 +434,147 @@ impl BrickStreamer {
         }
         let _span = TM_BRICK_RECON.span();
         let target = *self.layout.grid();
+        let mut values = vec![0.0f32; self.layout.brick_len(b)];
+        self.peak_brick_bytes = self.peak_brick_bytes.max(values.len() * 4);
+        let ws = &mut self.ws;
+
+        // Split the brick's voxels into stored samples (copied bit-for-bit,
+        // same-grid only) and queries for the network — the same partition
+        // the whole-grid path makes globally.
+        ws.queries.clear();
+        ws.qpos.clear();
+        for (offset, idx) in self.layout.voxels(b).enumerate() {
+            if self.same_grid {
+                if let Ok(pos) = cloud.indices().binary_search(&idx) {
+                    values[offset] = cloud.values()[pos];
+                    continue;
+                }
+            }
+            ws.queries.push((offset, idx));
+            ws.qpos.push(target.world_linear(idx));
+        }
+
+        // Phase 1: certified kNN against the ghost tree, growing the halo
+        // until every query's certificate holds. Chunked like the
+        // whole-grid batch path; rows land in disjoint slices, so the
+        // neighbor buffer is identical at any thread width.
+        let k = pipeline.feature_config().k;
         let (lo, hi) = self.layout.brick_range(b);
         let wlo = target.world(lo);
         let whi = target.world([hi[0] - 1, hi[1] - 1, hi[2] - 1]);
-        let (ghost, border) = gather_ghost(
-            cloud.positions(),
-            &self.sample_ijk,
-            cloud.grid(),
-            wlo,
-            whi,
-            self.cfg.halo,
-        );
-        self.halo_bytes
-            .fetch_add(ghost.len() as u64 * GHOST_SAMPLE_BYTES, Ordering::Relaxed);
-        TM_BRICK_HALO_BYTES.add(ghost.len() as u64 * GHOST_SAMPLE_BYTES);
-        let job = BrickJob {
-            b,
-            ghost,
-            border,
-            halo: self.cfg.halo,
-        };
-        match recon_brick(
-            pipeline,
-            cloud,
-            &target,
-            &self.frame,
-            &self.layout,
-            self.same_grid,
-            &self.sample_ijk,
-            job,
-            ctx,
-            &mut self.ws,
-            &self.halo_bytes,
-            &self.inflight,
-            &self.peak_inflight,
-        )? {
-            Some((_, values, brick_halo)) => {
-                self.max_halo = self.max_halo.max(brick_halo);
-                // `recon_brick` hands inflight-byte ownership to a commit
-                // stage that doesn't exist here; settle the gauge now.
-                self.inflight.fetch_sub(values.len() * 4, Ordering::Relaxed);
-                TM_BRICK_COMPLETED.incr();
-                Ok(Some(values))
+        let n = ws.queries.len();
+        let mut halo = self.cfg.halo;
+        let stride = loop {
+            let (ghost, border) = gather_ghost(
+                cloud.positions(),
+                &self.sample_ijk,
+                cloud.grid(),
+                wlo,
+                whi,
+                halo,
+            );
+            self.halo_bytes += ghost.len() as u64 * GHOST_SAMPLE_BYTES;
+            TM_BRICK_HALO_BYTES.add(ghost.len() as u64 * GHOST_SAMPLE_BYTES);
+            let stride = k.min(ghost.len());
+            ws.neighbors.clear();
+            ws.neighbors.resize(
+                n * stride,
+                Neighbor {
+                    index: usize::MAX,
+                    dist_sq: f64::INFINITY,
+                },
+            );
+            if n == 0 {
+                break stride;
             }
-            None => Ok(None),
-        }
-    }
-}
-
-/// Reconstruct one brick. Returns `Ok(None)` when the context stopped the
-/// run mid-brick (the brick is abandoned, staying pending in the ledger).
-#[allow(clippy::too_many_arguments)]
-fn recon_brick(
-    pipeline: &FcnnPipeline,
-    cloud: &PointCloud,
-    target: &Grid3,
-    frame: &CoordFrame,
-    layout: &BrickLayout,
-    same_grid: bool,
-    sample_ijk: &[[usize; 3]],
-    job: BrickJob,
-    ctx: &ExecCtx,
-    ws: &mut BrickWorkspace,
-    halo_bytes: &AtomicU64,
-    inflight: &AtomicUsize,
-    peak_inflight: &AtomicUsize,
-) -> Result<Option<(usize, Vec<f32>, usize)>, CoreError> {
-    let b = job.b;
-    let brick_len = layout.brick_len(b);
-    let mut values = vec![0.0f32; brick_len];
-    let cur = inflight.fetch_add(brick_len * 4, Ordering::Relaxed) + brick_len * 4;
-    peak_inflight.fetch_max(cur, Ordering::Relaxed);
-    // On every early return the buffer dies here; balance the gauge.
-    struct InflightGuard<'a>(&'a AtomicUsize, usize, bool);
-    impl Drop for InflightGuard<'_> {
-        fn drop(&mut self) {
-            if self.2 {
-                self.0.fetch_sub(self.1, Ordering::Relaxed);
+            let chunk_rows = fv_runtime::chunk_size(n, 1, usize::MAX);
+            let n_chunks = n.div_ceil(chunk_rows);
+            if ws.knn.len() < n_chunks {
+                ws.knn.resize_with(n_chunks, KnnScratch::default);
             }
-        }
-    }
-    let mut guard = InflightGuard(inflight, brick_len * 4, true);
-
-    // Split the brick's voxels into stored samples (copied bit-for-bit,
-    // same-grid only) and queries for the network — the same partition the
-    // whole-grid path makes globally.
-    ws.queries.clear();
-    ws.qpos.clear();
-    for (offset, idx) in layout.voxels(b).enumerate() {
-        if same_grid {
-            if let Ok(pos) = cloud.indices().binary_search(&idx) {
-                values[offset] = cloud.values()[pos];
-                continue;
-            }
-        }
-        ws.queries.push((offset, idx));
-        ws.qpos.push(target.world_linear(idx));
-    }
-
-    // Phase 1: certified kNN against the ghost tree, growing the halo
-    // until every query's certificate holds. Chunked like the whole-grid
-    // batch path; rows land in disjoint slices, so the neighbor buffer is
-    // identical at any thread width.
-    let k = pipeline.feature_config().k;
-    let mut ghost = job.ghost;
-    let mut border = job.border;
-    let mut halo = job.halo;
-    let n = ws.queries.len();
-    let mut stride;
-    loop {
-        stride = k.min(ghost.len());
-        ws.neighbors.clear();
-        ws.neighbors.resize(
-            n * stride,
-            Neighbor {
-                index: usize::MAX,
-                dist_sq: f64::INFINITY,
-            },
-        );
-        if n == 0 {
-            break;
-        }
-        let chunk_rows = fv_runtime::chunk_size(n, 1, usize::MAX);
-        let n_chunks = n.div_ceil(chunk_rows);
-        if ws.knn.len() < n_chunks {
-            ws.knn.resize_with(n_chunks, KnnScratch::default);
-        }
-        let any_inexact = AtomicBool::new(false);
-        let qpos = &ws.qpos;
-        let ghost_ref = &ghost;
-        let border_ref = &border;
-        let run_chunk = |ci: usize, rows_out: &mut [Neighbor], scr: &mut KnnScratch| {
-            let q0 = ci * chunk_rows;
-            let mut row_buf = Vec::with_capacity(k);
-            for (r, row) in rows_out.chunks_mut(stride).enumerate() {
-                let q = qpos[q0 + r];
-                let exact =
-                    ghost_ref.k_nearest_exact(q, k, border_ref.bound_d2(q), scr, &mut row_buf);
-                if !exact {
-                    any_inexact.store(true, Ordering::Relaxed);
-                    return;
+            let any_inexact = AtomicBool::new(false);
+            let qpos = &ws.qpos;
+            let run_chunk = |ci: usize, rows_out: &mut [Neighbor], scr: &mut KnnScratch| {
+                let q0 = ci * chunk_rows;
+                let mut row_buf = Vec::with_capacity(k);
+                for (r, row) in rows_out.chunks_mut(stride).enumerate() {
+                    let q = qpos[q0 + r];
+                    let exact = ghost.k_nearest_exact(q, k, border.bound_d2(q), scr, &mut row_buf);
+                    if !exact {
+                        any_inexact.store(true, Ordering::Relaxed);
+                        return;
+                    }
+                    row.copy_from_slice(&row_buf);
                 }
-                row.copy_from_slice(&row_buf);
+            };
+            let work = n.saturating_mul(k).saturating_mul(64);
+            if stride > 0 && go_parallel(&OP_BRICK_KNN, work) {
+                ws.neighbors
+                    .par_chunks_mut(chunk_rows * stride)
+                    .zip(ws.knn[..n_chunks].par_iter_mut())
+                    .enumerate()
+                    .for_each(|(ci, (rows_out, scr))| run_chunk(ci, rows_out, scr));
+            } else if stride > 0 {
+                for (ci, (rows_out, scr)) in ws
+                    .neighbors
+                    .chunks_mut(chunk_rows * stride)
+                    .zip(ws.knn[..n_chunks].iter_mut())
+                    .enumerate()
+                {
+                    run_chunk(ci, rows_out, scr);
+                }
             }
+            if (stride > 0 && !any_inexact.load(Ordering::Relaxed)) || ghost.is_complete() {
+                break stride;
+            }
+            // Geometry-only growth: same decision at every thread width.
+            halo = halo.saturating_mul(2);
         };
-        let work = n.saturating_mul(k).saturating_mul(64);
-        if stride > 0 && go_parallel(&OP_BRICK_KNN, work) {
-            ws.neighbors
-                .par_chunks_mut(chunk_rows * stride)
-                .zip(ws.knn[..n_chunks].par_iter_mut())
-                .enumerate()
-                .for_each(|(ci, (rows_out, scr))| run_chunk(ci, rows_out, scr));
-        } else if stride > 0 {
-            for (ci, (rows_out, scr)) in ws
-                .neighbors
-                .chunks_mut(chunk_rows * stride)
-                .zip(ws.knn[..n_chunks].iter_mut())
-                .enumerate()
-            {
-                run_chunk(ci, rows_out, scr);
-            }
-        }
-        if (stride > 0 && !any_inexact.load(Ordering::Relaxed)) || ghost.is_complete() {
-            break;
-        }
-        // Geometry-only growth: same decision at every thread width.
-        halo = halo.saturating_mul(2);
-        let (lo, hi) = layout.brick_range(b);
-        let wlo = target.world(lo);
-        let whi = target.world([hi[0] - 1, hi[1] - 1, hi[2] - 1]);
-        let (g, brd) = gather_ghost(cloud.positions(), sample_ijk, cloud.grid(), wlo, whi, halo);
-        halo_bytes.fetch_add(g.len() as u64 * GHOST_SAMPLE_BYTES, Ordering::Relaxed);
-        TM_BRICK_HALO_BYTES.add(g.len() as u64 * GHOST_SAMPLE_BYTES);
-        ghost = g;
-        border = brd;
-    }
 
-    // Phase 2: feature fill + forward pass in the same batch cadence as
-    // the whole-grid path (row values don't depend on batching; the cadence
-    // only matches cancellation granularity).
-    let fc = pipeline.feature_config();
-    let width = fc.input_width();
-    let value_norm = pipeline.value_norm();
-    let positions = cloud.positions();
-    let sample_values = cloud.values();
-    let batch = pipeline.prediction_batch();
-    for (c0, chunk) in ws.queries.chunks(batch).enumerate() {
-        if ctx.should_stop() {
+        // Phase 2: feature fill + forward pass through the shared batch
+        // loop, in the whole-grid path's cadence.
+        let fc = pipeline.feature_config();
+        let width = fc.input_width();
+        let frame = &self.frame;
+        let value_norm = pipeline.value_norm();
+        let BrickWorkspace {
+            queries,
+            qpos,
+            neighbors,
+            features,
+            infer,
+            ..
+        } = ws;
+        let done = pipeline.predict_rows(
+            n,
+            ctx,
+            features,
+            infer,
+            |rows, features| {
+                let rows_out = features.as_mut_slice().chunks_mut(width);
+                for (row, g) in rows_out.zip(rows) {
+                    fill_feature_row(
+                        row,
+                        k,
+                        fc.relative_coords,
+                        frame.to_unit(qpos[g]),
+                        &neighbors[g * stride..(g + 1) * stride],
+                        cloud.positions(),
+                        cloud.values(),
+                        frame,
+                        value_norm,
+                    );
+                }
+            },
+            |row, value| values[queries[row].0] = value,
+        )?;
+        if done < n {
             return Ok(None);
         }
-        let base = c0 * batch;
-        ws.features.resize(chunk.len(), width);
-        for (r, row) in ws.features.as_mut_slice().chunks_mut(width).enumerate() {
-            let g = base + r;
-            let up = frame.to_unit(ws.qpos[g]);
-            let row_neighbors = &ws.neighbors[g * stride..(g + 1) * stride];
-            fill_feature_row(
-                row,
-                k,
-                fc.relative_coords,
-                up,
-                row_neighbors,
-                positions,
-                sample_values,
-                frame,
-                value_norm,
-            );
-        }
-        let pred = pipeline.mlp().forward_with(&ws.features, &mut ws.infer)?;
-        for (r, &(offset, _)) in chunk.iter().enumerate() {
-            values[offset] = value_norm.denormalize(pred[(r, 0)]);
-        }
+        self.max_halo = self.max_halo.max(halo);
+        TM_BRICK_COMPLETED.incr();
+        Ok(Some(values))
     }
-
-    // Ownership of the inflight bytes passes to the commit stage.
-    guard.2 = false;
-    Ok(Some((b, values, halo)))
 }
 
 #[cfg(test)]
@@ -805,10 +591,6 @@ mod tests {
             },
             BrickReconConfig {
                 halo: 0,
-                ..Default::default()
-            },
-            BrickReconConfig {
-                prefetch: 0,
                 ..Default::default()
             },
         ] {

@@ -47,8 +47,9 @@
 //!   returns a partial model reconstruction (completed batches are exact)
 //!   with the remainder filled classically, within one batch of the
 //!   budget;
-//! * a circuit breaker counts consecutive failed steps (panic, model
-//!   error, missed deadline). At `breaker_threshold` it *opens*: the model
+//! * a circuit breaker (the workspace's one [`fv_runtime::breaker`])
+//!   counts consecutive failed steps (panic, model error, missed
+//!   deadline). At `breaker_threshold` it *opens*: the model
 //!   path is skipped entirely and steps are answered by the cheap
 //!   classical fallback. Every `breaker_probe_interval` open steps, one
 //!   *half-open* probe retries the model path; success closes the breaker
@@ -69,6 +70,7 @@ use fv_interp::idw::IdwReconstructor;
 use fv_interp::nearest::NearestReconstructor;
 use fv_interp::Reconstructor;
 use fv_nn::train::Trainer;
+use fv_runtime::breaker::Breaker;
 use fv_runtime::retry::Backoff;
 use fv_runtime::{chaos, telemetry, Deadline, ExecCtx, StopReason};
 use fv_sampling::{FieldSampler, ImportanceConfig, ImportanceSampler, PointCloud};
@@ -110,17 +112,10 @@ impl FallbackKind {
     }
 }
 
-/// Circuit-breaker position, reported per step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Normal operation: the model path runs every step.
-    Closed,
-    /// Too many consecutive failures: the model path is skipped and steps
-    /// are answered by the classical fallback.
-    Open,
-    /// Recovery probe: one model-path attempt while otherwise open.
-    HalfOpen,
-}
+/// Circuit-breaker position, reported per step: `Closed` runs the model
+/// path, `Open` answers with the classical fallback, `HalfOpen` probes
+/// the model once.
+pub use fv_runtime::breaker::BreakerState;
 
 /// Supervision knobs: per-step time budget, circuit breaker, and I/O
 /// retry policy. The defaults are inert for healthy runs — no deadline,
@@ -133,9 +128,10 @@ pub struct SupervisionConfig {
     /// prediction batch, and the skipped voxels are filled classically.
     pub step_deadline: Option<Duration>,
     /// Consecutive failed steps (panic caught, model error, missed
-    /// deadline) that open the breaker.
+    /// deadline) that open the breaker (0 acts as 1).
     pub breaker_threshold: usize,
-    /// While open, retry the model path every this-many steps.
+    /// While open, retry the model path every this-many steps (0 acts
+    /// as 1).
     pub breaker_probe_interval: usize,
     /// Backoff policy for checkpoint saves.
     pub io_retry: Backoff,
@@ -260,23 +256,24 @@ pub struct InSituSession {
     best_probe_loss: f32,
     step: usize,
     checkpoints: Option<CheckpointStore>,
-    breaker_open: bool,
-    breaker_failures: usize,
-    steps_until_probe: usize,
+    breaker: Breaker,
 }
 
 impl InSituSession {
     /// Start a session from a pretrained pipeline.
     pub fn new(pipeline: FcnnPipeline, config: InSituConfig) -> Self {
+        let clamp = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+        let breaker = Breaker::new(
+            clamp(config.supervision.breaker_threshold),
+            clamp(config.supervision.breaker_probe_interval),
+        );
         Self {
             pipeline,
             config,
             best_probe_loss: f32::INFINITY,
             step: 0,
             checkpoints: None,
-            breaker_open: false,
-            breaker_failures: 0,
-            steps_until_probe: 0,
+            breaker,
         }
     }
 
@@ -314,13 +311,7 @@ impl InSituSession {
 
     /// Breaker position the *next* step will start from.
     pub fn breaker(&self) -> BreakerState {
-        if !self.breaker_open {
-            BreakerState::Closed
-        } else if self.steps_until_probe == 0 {
-            BreakerState::HalfOpen
-        } else {
-            BreakerState::Open
-        }
+        self.breaker.state()
     }
 
     /// Ingest one timestep: sample it, decide whether to fine-tune,
@@ -393,11 +384,8 @@ impl InSituSession {
         // Breaker gate. While open, skip the model entirely (the cheap
         // classical path answers); every `breaker_probe_interval`-th open
         // step runs one half-open probe.
-        let entry_state = self.breaker();
-        let attempt_model = entry_state != BreakerState::Open;
-        if entry_state == BreakerState::Open {
-            self.steps_until_probe -= 1;
-        }
+        let entry_state = self.breaker.state();
+        let attempt_model = self.breaker.allow();
         if entry_state == BreakerState::HalfOpen {
             TM_BREAKER_PROBES.incr();
         }
@@ -445,20 +433,15 @@ impl InSituSession {
         let attempt_failed = attempt_model && (outcome.is_none() || deadline_missed);
         if attempt_model {
             if attempt_failed {
-                self.breaker_failures += 1;
-                if entry_state == BreakerState::HalfOpen
-                    || self.breaker_failures >= self.config.supervision.breaker_threshold
-                {
+                self.breaker.record_failure();
+                if self.breaker.state() == BreakerState::Open {
                     TM_BREAKER_OPENS.incr();
-                    self.breaker_open = true;
-                    self.steps_until_probe = self.config.supervision.breaker_probe_interval;
                 }
             } else {
-                if self.breaker_open {
+                if entry_state == BreakerState::HalfOpen {
                     TM_BREAKER_CLOSES.incr();
                 }
-                self.breaker_open = false;
-                self.breaker_failures = 0;
+                self.breaker.record_success();
             }
         }
 

@@ -23,6 +23,7 @@ use fv_nn::{InferWorkspace, Mlp};
 use fv_runtime::{chaos, telemetry, ExecCtx, StopReason};
 use fv_sampling::{FieldSampler, ImportanceConfig, ImportanceSampler, PointCloud};
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::Path;
 use std::time::Instant;
 
@@ -326,9 +327,8 @@ impl FcnnPipeline {
         &self.features
     }
 
-    /// Rows per forward pass during reconstruction (the bricked path
-    /// chunks its per-brick queries by the same size so its batching
-    /// matches the whole-grid path's cadence).
+    /// Rows per forward pass during reconstruction: the chunk size of
+    /// [`Self::predict_rows`], whichever path calls it.
     pub fn prediction_batch(&self) -> usize {
         self.prediction_batch
     }
@@ -445,62 +445,97 @@ impl FcnnPipeline {
         let frame = CoordFrame::of_grid(target);
         let extractor = FeatureExtractor::new(cloud, self.features);
         let mut out = ScalarField::zeros(*target);
+        let queries = query_nodes(cloud, target, out.values_mut());
 
-        let same_grid = cloud.grid() == target;
-        let queries: Vec<usize> = if same_grid {
-            for (pos, &idx) in cloud.indices().iter().enumerate() {
-                out.values_mut()[idx] = cloud.values()[pos];
-            }
-            cloud.void_indices()
-        } else {
-            (0..target.num_points()).collect()
-        };
-
+        let ReconstructWorkspace {
+            features,
+            feat_scratch,
+            infer,
+        } = ws;
+        let values = out.values_mut();
+        let done = self.predict_rows(
+            queries.len(),
+            ctx,
+            features,
+            infer,
+            |rows, features| {
+                chaos::point("recon.batch");
+                let span = TM_RECON_BATCH.span();
+                let chunk = &queries[rows];
+                extractor.features_for_into(
+                    target,
+                    &frame,
+                    &self.value_norm,
+                    chunk,
+                    features,
+                    feat_scratch,
+                );
+                span
+            },
+            |row, value| values[queries[row]] = value,
+        )?;
+        TM_RECON_ROWS.add(done as u64);
         let mut status = ReconStatus {
             interrupted: None,
-            completed_rows: 0,
+            completed_rows: done,
             total_rows: queries.len(),
         };
-        let mut chunks = queries.chunks(self.prediction_batch);
-        for chunk in chunks.by_ref() {
-            if let Some(reason) = ctx.stop_reason() {
-                status.interrupted = Some(reason);
-                TM_RECON_INTERRUPTED.incr();
-                // NaN-mark this and every remaining chunk's voxels: a NaN
-                // is loud under any downstream finite-scan, a stale zero
-                // would silently pass as data.
-                for &idx in chunk {
-                    out.values_mut()[idx] = f32::NAN;
-                }
-                for rest in chunks.by_ref() {
-                    for &idx in rest {
-                        out.values_mut()[idx] = f32::NAN;
-                    }
-                }
-                break;
+        if done < queries.len() {
+            status.interrupted = ctx.stop_reason();
+            TM_RECON_INTERRUPTED.incr();
+            // NaN-mark every voxel the run never reached: a NaN is loud
+            // under any downstream finite-scan, a stale zero would
+            // silently pass as data.
+            for &idx in &queries[done..] {
+                values[idx] = f32::NAN;
             }
-            chaos::point("recon.batch");
-            let _batch_span = TM_RECON_BATCH.span();
-            extractor.features_for_into(
-                target,
-                &frame,
-                &self.value_norm,
-                chunk,
-                &mut ws.features,
-                &mut ws.feat_scratch,
-            );
-            let pred = self.mlp.forward_with(&ws.features, &mut ws.infer)?;
-            for (row, &idx) in chunk.iter().enumerate() {
-                out.values_mut()[idx] = self.value_norm.denormalize(pred[(row, 0)]);
-            }
-            status.completed_rows += chunk.len();
-            TM_RECON_ROWS.add(chunk.len() as u64);
         }
         // Post-reconstruction corruption site: models silent memory/media
         // corruption of the finished buffer. Injected NaNs are caught by
         // the session's non-finite scan exactly like real ones would be.
         chaos::corrupt_f32("recon.output", out.values_mut());
         Ok((out, status))
+    }
+
+    /// The reconstruction batch loop: the one place feature rows meet the
+    /// network, shared by the whole-grid path, the bricked path and the
+    /// server's packed passes.
+    ///
+    /// Cuts rows `0..n` into [`Self::prediction_batch`] chunks. Per chunk
+    /// it polls `ctx`, sizes `features` to the chunk, has `fill(rows,
+    /// features)` write the chunk's feature rows, runs the forward pass,
+    /// and hands each row's denormalized prediction to `emit(row, value)`.
+    /// Whatever `fill` returns (a telemetry span, say) is held until the
+    /// chunk's rows are emitted. Returns the rows completed: `n`, or the
+    /// chunk-aligned prefix done before `ctx` stopped the run.
+    ///
+    /// The forward pass is row-independent, so each emitted value depends
+    /// only on its own feature row, never on which rows share its chunk.
+    pub fn predict_rows<G>(
+        &self,
+        n: usize,
+        ctx: &ExecCtx,
+        features: &mut Matrix<f32>,
+        infer: &mut InferWorkspace,
+        mut fill: impl FnMut(Range<usize>, &mut Matrix<f32>) -> G,
+        mut emit: impl FnMut(usize, f32),
+    ) -> Result<usize, CoreError> {
+        let width = self.features.input_width();
+        let mut done = 0;
+        while done < n {
+            if ctx.should_stop() {
+                break;
+            }
+            let rows = done..(done + self.prediction_batch).min(n);
+            features.resize(rows.len(), width);
+            let _chunk = fill(rows.clone(), features);
+            let pred = self.mlp.forward_with(features, infer)?;
+            for (r, row) in rows.clone().enumerate() {
+                emit(row, self.value_norm.denormalize(pred[(r, 0)]));
+            }
+            done = rows.end;
+        }
+        Ok(done)
     }
 
     /// Serialize the pipeline (model + normalization + feature config).
@@ -584,6 +619,22 @@ impl FcnnPipeline {
         let f = std::fs::File::open(path).map_err(fv_nn::NnError::from)?;
         Self::read_from(std::io::BufReader::new(f))
     }
+}
+
+/// Which nodes of `target` a reconstruction from `cloud` must predict.
+///
+/// On the cloud's own grid the stored samples are copied bit-for-bit into
+/// `out` (indexed like `target`) and only the voids are returned; on any
+/// other grid (Experiment 3) `out` is left alone and every node is
+/// returned.
+pub fn query_nodes(cloud: &PointCloud, target: &Grid3, out: &mut [f32]) -> Vec<usize> {
+    if cloud.grid() != target {
+        return (0..target.num_points()).collect();
+    }
+    for (&idx, &value) in cloud.indices().iter().zip(cloud.values()) {
+        out[idx] = value;
+    }
+    cloud.void_indices()
 }
 
 /// Assemble the training dataset for one timestep under a configuration.

@@ -14,10 +14,12 @@
 //!    query rows. Feature rows are per-query independent, so per-request
 //!    extraction is bitwise-identical to the direct path's chunked
 //!    extraction.
-//! 2. **Infer (shared workspace)**: pack feature rows from *all* requests
-//!    in the group into one matrix, chunked at `prediction_batch` rows,
-//!    and run them through a single reused [`InferWorkspace`] — the
-//!    steady-state forward loop allocates nothing. The matmul kernel
+//! 2. **Infer (shared workspace)**: the feature rows of *all* requests in
+//!    the group, concatenated in order, run through the pipeline's one
+//!    batch loop (`FcnnPipeline::predict_rows`), which packs them into
+//!    `prediction_batch`-row passes through a single reused
+//!    [`InferWorkspace`] — the steady-state forward loop allocates
+//!    nothing. The matmul kernel
 //!    computes each output row as an independent dot product
 //!    (`matmul_transpose_b_into`), so an output row's bits do not depend
 //!    on which other requests share its pass — served results are
@@ -49,6 +51,7 @@ use crate::registry::ModelEntry;
 use crate::session::{InflightGuard, TenantStats};
 use fillvoid_core::features::FeatureExtractor;
 use fillvoid_core::normalize::CoordFrame;
+use fillvoid_core::pipeline::query_nodes;
 use fillvoid_core::ReconstructWorkspace;
 use fv_field::Grid3;
 use fv_interp::{idw::IdwReconstructor, Reconstructor};
@@ -156,6 +159,8 @@ enum Msg {
 struct BatchWorkspace {
     packed: Matrix<f32>,
     infer: InferWorkspace,
+    /// Predictions of a group's packed rows, in packing order.
+    pred: Vec<f32>,
     recon: ReconstructWorkspace,
 }
 
@@ -164,6 +169,7 @@ impl Default for BatchWorkspace {
         Self {
             packed: Matrix::zeros(0, 0),
             infer: InferWorkspace::default(),
+            pred: Vec::new(),
             recon: ReconstructWorkspace::default(),
         }
     }
@@ -484,10 +490,6 @@ struct Prep {
     features: Matrix<f32>,
 }
 
-/// One slice of a packed forward chunk: (prep index, row start within
-/// that prep's feature matrix, row count).
-type Segment = (usize, usize, usize);
-
 /// The model path for one group. Returns one result per job, in order.
 fn run_group_model(
     entry: &Arc<ModelEntry>,
@@ -543,14 +545,7 @@ fn run_group_model(
             let frame = CoordFrame::of_grid(target);
             let extractor = FeatureExtractor::new(&job.cloud, *pipeline.feature_config());
             let mut out = vec![0f32; target.num_points()];
-            let queries: Vec<usize> = if job.cloud.grid() == target {
-                for (pos, &idx) in job.cloud.indices().iter().enumerate() {
-                    out[idx] = job.cloud.values()[pos];
-                }
-                job.cloud.void_indices()
-            } else {
-                (0..target.num_points()).collect()
-            };
+            let queries = query_nodes(&job.cloud, target, &mut out);
             let features =
                 extractor.features_for(target, &frame, pipeline.value_norm(), &queries);
             Prep {
@@ -562,54 +557,44 @@ fn run_group_model(
         })
         .collect();
 
-    // Phase 2 — pack rows across requests into shared forward passes
-    // through the one reused InferWorkspace. Chunks never exceed the
-    // model's prediction batch.
-    let mut chunk: Vec<Segment> = Vec::new();
-    let mut chunk_rows = 0usize;
-    let mut plan: Vec<(Vec<Segment>, usize)> = Vec::new();
-    for (pi, prep) in preps.iter().enumerate() {
-        let mut row = 0;
-        while row < prep.queries.len() {
-            let take = (batch_rows - chunk_rows).min(prep.queries.len() - row);
-            chunk.push((pi, row, take));
-            chunk_rows += take;
-            row += take;
-            if chunk_rows == batch_rows {
-                plan.push((std::mem::take(&mut chunk), chunk_rows));
-                chunk_rows = 0;
+    // Phase 2 — the preps' rows, concatenated in prep order, run through
+    // the shared batch loop: each forward pass packs up to one prediction
+    // batch of rows across requests, through the one reused workspace.
+    // `starts[p]` is prep p's first row; the last entry is the total.
+    let mut starts = Vec::with_capacity(preps.len() + 1);
+    starts.push(0);
+    for prep in &preps {
+        starts.push(starts[starts.len() - 1] + prep.queries.len());
+    }
+    let total = starts[preps.len()];
+    let owner = |row: usize| starts.partition_point(|&s| s <= row) - 1;
+    ws.pred.resize(total, 0.0);
+    let pred = &mut ws.pred;
+    pipeline.predict_rows(
+        total,
+        &ExecCtx::unbounded(),
+        &mut ws.packed,
+        &mut ws.infer,
+        |rows, packed| {
+            let mut row = rows.start;
+            while row < rows.end {
+                let p = owner(row);
+                let take = starts[p + 1].min(rows.end) - row;
+                let src = &preps[p].features.as_slice()[(row - starts[p]) * width..];
+                packed.as_mut_slice()[(row - rows.start) * width..][..take * width]
+                    .copy_from_slice(&src[..take * width]);
+                row += take;
             }
-        }
-    }
-    if chunk_rows > 0 {
-        plan.push((chunk, chunk_rows));
-    }
+            chaos::point("serve.infer");
+            TM_INFER.span()
+        },
+        |row, value| pred[row] = value,
+    )?;
 
-    for (segments, rows) in plan {
-        ws.packed.resize(rows, width);
-        let mut cursor = 0;
-        for &(pi, start, n) in &segments {
-            for r in 0..n {
-                ws.packed
-                    .row_mut(cursor + r)
-                    .copy_from_slice(preps[pi].features.row(start + r));
-            }
-            cursor += n;
+    for (p, prep) in preps.iter_mut().enumerate() {
+        for (&q, &value) in prep.queries.iter().zip(&ws.pred[starts[p]..]) {
+            prep.out[q] = value;
         }
-        chaos::point("serve.infer");
-        let _span = TM_INFER.span();
-        let pred = pipeline.mlp().forward_with(&ws.packed, &mut ws.infer)?;
-        let mut cursor = 0;
-        for &(pi, start, n) in &segments {
-            for r in 0..n {
-                let q = preps[pi].queries[start + r];
-                preps[pi].out[q] = pipeline.value_norm().denormalize(pred[(cursor + r, 0)]);
-            }
-            cursor += n;
-        }
-    }
-
-    for prep in &mut preps {
         // Post-inference corruption site: models silent corruption of the
         // response buffer; injected NaNs are caught by the finite scan
         // below and demote the request instead of shipping garbage.
@@ -781,45 +766,65 @@ mod tests {
     }
 
     #[test]
-    fn tiny_prediction_batch_packs_across_requests_bitwise() {
-        // Force many shared chunks: prediction_batch smaller than one
-        // request's rows exercises the cross-request packing seams. The
-        // clouds are DISTINCT Arcs with distinct samples, so request
-        // coalescing cannot collapse them — every request really packs
-        // its own rows into the shared passes.
+    fn packed_passes_straddle_requests_bitwise() {
+        // A prediction batch above one request's rows but below the
+        // group's total: every request fits the packed path (none is
+        // oversized), and the pass boundaries fall inside requests, so
+        // rows of neighbouring requests share forward passes. The clouds
+        // are DISTINCT Arcs with distinct samples, so request coalescing
+        // cannot collapse them. One case ends on a full pass, the other
+        // on a ragged one.
         let g = Grid3::new([8, 8, 4]).unwrap();
         let f = ScalarField::from_world_fn(g, |p| (p[0] * 0.5).sin() as f32 + p[1] as f32 * 0.2);
-        let mut cfg = PipelineConfig::small_for_tests();
-        cfg.trainer.epochs = 3;
-        cfg.prediction_batch = 37; // deliberately odd
-        let pipeline = FcnnPipeline::train(&f, &cfg, 5).unwrap();
         let clouds: Vec<Arc<PointCloud>> = (0..5)
             .map(|s| Arc::new(RandomSampler.sample(&f, 0.10, 3 + s)))
             .collect();
-        let directs: Vec<_> = clouds
-            .iter()
-            .map(|c| pipeline.reconstruct(c, f.grid()).unwrap())
-            .collect();
-        let entry = ModelRegistry::new(64 << 20).insert("d", 0, pipeline).unwrap();
+        let rows: Vec<usize> = clouds.iter().map(|c| c.void_indices().len()).collect();
+        let total: usize = rows.iter().sum();
+        let largest = *rows.iter().max().unwrap();
+        for (batch, ragged) in [(total / 2, false), (300, true)] {
+            assert!(
+                largest <= batch && batch < total,
+                "premise: {rows:?} rows against a {batch}-row batch"
+            );
+            assert_eq!(
+                !total.is_multiple_of(batch),
+                ragged,
+                "premise: {total} rows, batch {batch}"
+            );
+            let mut cfg = PipelineConfig::small_for_tests();
+            cfg.trainer.epochs = 3;
+            cfg.prediction_batch = batch;
+            let pipeline = FcnnPipeline::train(&f, &cfg, 5).unwrap();
+            let directs: Vec<_> = clouds
+                .iter()
+                .map(|c| pipeline.reconstruct(c, f.grid()).unwrap())
+                .collect();
+            let entry = ModelRegistry::new(64 << 20)
+                .insert("d", 0, pipeline)
+                .unwrap();
 
-        let sessions = SessionManager::new(64);
-        let batcher = MicroBatcher::start(BatchConfig {
-            flush_after: Duration::from_millis(50),
-            max_rows: 10_000,
-            ..BatchConfig::default()
-        });
-        let rxs: Vec<_> = clouds
-            .iter()
-            .map(|c| submit(&batcher, &sessions, &entry, c, g, ExecCtx::unbounded()))
-            .collect();
-        for (rx, direct) in rxs.into_iter().zip(&directs) {
-            match rx.recv().unwrap() {
-                ReconOutcome::Ok(values) => assert!(values
-                    .iter()
-                    .zip(direct.values())
-                    .all(|(a, b)| a.to_bits() == b.to_bits())),
-                other => panic!("expected Ok, got {other:?}"),
+            let sessions = SessionManager::new(64);
+            // The flush fires exactly when the last request's rows arrive.
+            let batcher = MicroBatcher::start(BatchConfig {
+                flush_after: Duration::from_secs(30),
+                max_rows: total,
+                ..BatchConfig::default()
+            });
+            let rxs: Vec<_> = clouds
+                .iter()
+                .map(|c| submit(&batcher, &sessions, &entry, c, g, ExecCtx::unbounded()))
+                .collect();
+            for (rx, direct) in rxs.into_iter().zip(&directs) {
+                match rx.recv().unwrap() {
+                    ReconOutcome::Ok(values) => assert!(values
+                        .iter()
+                        .zip(direct.values())
+                        .all(|(a, b)| a.to_bits() == b.to_bits())),
+                    other => panic!("expected Ok, got {other:?}"),
+                }
             }
+            assert_eq!(batcher.flushes(), 1, "all five requests share one flush");
         }
     }
 

@@ -31,11 +31,12 @@
 //! still hold it — but would break drain tracking), which also makes the
 //! budget a soft bound while drains are in flight.
 
-use crate::breaker::{Breaker, BreakerState};
 use crate::error::ServeError;
 use fillvoid_core::checkpoint::CheckpointStore;
 use fillvoid_core::{metrics, FcnnPipeline};
 use fv_field::ScalarField;
+use fv_runtime::breaker::{Breaker, BreakerState};
+use fv_runtime::checksum::Fnv1a;
 use fv_runtime::{chaos, telemetry};
 use fv_sampling::PointCloud;
 use std::collections::HashMap;
@@ -58,14 +59,11 @@ static TM_CANARY: telemetry::Site = telemetry::Site::new("serve.canary", None);
 /// canary fingerprints and by the bench/CI gates to compare served
 /// volumes bitwise without shipping both around.
 pub fn fingerprint_f32(vals: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a::new();
     for v in vals {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.update(&v.to_bits().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// The stored validation probe a candidate model must pass before

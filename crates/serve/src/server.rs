@@ -52,6 +52,7 @@ use crate::session::{ReplyCache, SessionManager};
 use crate::stream::{BrickScheduler, StreamConfig, StreamJob, StreamMsg};
 use fillvoid_core::FcnnPipeline;
 use fv_field::{BrickLayout, ScalarField};
+use fv_runtime::checksum::Fnv1a;
 use fv_runtime::{chaos, telemetry, Deadline, ExecCtx};
 use fv_sampling::PointCloud;
 use std::collections::HashMap;
@@ -977,25 +978,21 @@ fn handle_put_cloud(
 /// bits) for the intern table. Collisions are fine — interning always
 /// confirms with a full comparison.
 fn cloud_fingerprint(cloud: &PointCloud) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     let grid = cloud.grid();
     for d in grid.dims() {
-        h = (h ^ d as u64).wrapping_mul(PRIME);
+        h.update(&(d as u64).to_le_bytes());
     }
-    for o in grid.origin() {
-        h = (h ^ o.to_bits()).wrapping_mul(PRIME);
-    }
-    for s in grid.spacing() {
-        h = (h ^ s.to_bits()).wrapping_mul(PRIME);
+    for x in grid.origin().into_iter().chain(grid.spacing()) {
+        h.update(&x.to_bits().to_le_bytes());
     }
     for &i in cloud.indices() {
-        h = (h ^ i as u64).wrapping_mul(PRIME);
+        h.update(&(i as u64).to_le_bytes());
     }
     for &v in cloud.values() {
-        h = (h ^ u64::from(v.to_bits())).wrapping_mul(PRIME);
+        h.update(&v.to_bits().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Rebuild a [`PointCloud`] from wire data by scattering the values into
